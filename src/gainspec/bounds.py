@@ -1,10 +1,12 @@
 """The energy lower bound 2*mu(G) as executable checks.
 
-``bound_report`` evaluates one gain graph: energy, matching number, the gap
-between them, whether the bound is numerically attained (gap <= 1e-6), and
-whether the graph has the exact structure that attains it (balanced gains on
-a disjoint union of equal-sided complete bipartite blocks plus isolated
-vertices).  The two verdicts must always agree; ``consistent`` records that.
+``bound_report`` is the single analysis pass over one gain graph: energy,
+matching number, the gap between them, whether the bound is numerically
+attained (gap <= 1e-6), and whether the graph has the exact structure that
+attains it (balanced gains on a disjoint union of equal-sided complete
+bipartite blocks plus isolated vertices).  The two verdicts must always
+agree; ``consistent`` records that.  The report also carries the spectrum
+and the balance certificate it was computed from.
 
 The ``check_*`` functions stress the supporting inequalities on single
 instances or corpora and accumulate into ``LemmaReport`` values: instance
@@ -22,10 +24,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import corpus, gains, graphs
-from .gains import GainGraph, is_balanced
+from .gains import BalanceCertificate, GainGraph, is_balanced
 from .graphs import Graph, bipartition, edge_cut, induced_subgraph, is_connected
 from .matching import has_perfect_matching, maximum_matching
-from .spectra import energy
+from .spectra import Spectrum, energy, spectrum
 
 GAP_TIGHT_TOL = 1e-6     # "numerically tight" threshold on energy - 2*mu
 STRICT_MARGIN = 1e-8     # strict inequalities must clear this
@@ -33,24 +35,25 @@ STRICT_MARGIN = 1e-8     # strict inequalities must clear this
 
 @dataclass(frozen=True)
 class BoundReport:
+    """One analysis pass: the spectrum, the matching number and the balance
+    certificate are each computed once, and both verdicts read from them."""
+
     energy: float
     mu: int
     gap: float
     numerically_tight: bool
     structurally_extremal: bool
     consistent: bool
+    spectrum: Spectrum = field(compare=False, repr=False)
+    balance: BalanceCertificate = field(compare=False, repr=False)
 
 
 def gap(phi: GainGraph) -> float:
     return energy(phi) - 2.0 * maximum_matching(phi.graph).mu
 
 
-def is_extremal_structure(phi: GainGraph) -> bool:
-    """Balanced, and every component is a single vertex or an equal-sided
-    complete bipartite graph (sides t, t with exactly t^2 edges)."""
-    if not is_balanced(phi).balanced:
-        return False
-    g = phi.graph
+def _equal_sided_blocks(g: Graph) -> bool:
+    """The structural half of ``is_extremal_structure``, without balance."""
     bip = bipartition(g)
     comp_of = {}
     for k, comp in enumerate(bip.components):
@@ -68,19 +71,28 @@ def is_extremal_structure(phi: GainGraph) -> bool:
     return True
 
 
+def is_extremal_structure(phi: GainGraph) -> bool:
+    """Balanced, and every component is a single vertex or an equal-sided
+    complete bipartite graph (sides t, t with exactly t^2 edges)."""
+    return is_balanced(phi).balanced and _equal_sided_blocks(phi.graph)
+
+
 def bound_report(phi: GainGraph) -> BoundReport:
-    e = energy(phi)
+    spec = spectrum(phi)
     mu = maximum_matching(phi.graph).mu
-    g = e - 2.0 * mu
+    cert = is_balanced(phi)
+    g = spec.energy - 2.0 * mu
     tight = g <= GAP_TIGHT_TOL
-    extremal = is_extremal_structure(phi)
+    extremal = cert.balanced and _equal_sided_blocks(phi.graph)
     return BoundReport(
-        energy=e,
+        energy=spec.energy,
         mu=mu,
         gap=g,
         numerically_tight=tight,
         structurally_extremal=extremal,
         consistent=tight == extremal,
+        spectrum=spec,
+        balance=cert,
     )
 
 

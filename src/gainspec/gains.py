@@ -18,9 +18,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import Edge, Graph
 from . import graphs
@@ -51,6 +51,9 @@ class GainGraph:
     forward: Mapping[Edge, complex]
 
     def __post_init__(self) -> None:
+        # A read-only copy: neither the caller's dict nor the attribute can
+        # change a gain after validation.
+        object.__setattr__(self, "forward", MappingProxyType(dict(self.forward)))
         if set(self.forward) != self.graph.edges:
             missing = self.graph.edges - set(self.forward)
             extra = set(self.forward) - self.graph.edges
@@ -61,6 +64,10 @@ class GainGraph:
         for e, z in self.forward.items():
             if abs(abs(z) - 1.0) > 1e-12:
                 raise ValueError(f"gain on {e} has modulus {abs(z)!r}, not 1")
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle; rebuild from a plain dict instead.
+        return (GainGraph, (self.graph, dict(self.forward)))
 
     def gain(self, u: int, v: int) -> complex:
         """Gain of the ordered edge (u, v); the reverse orientation conjugates."""
@@ -189,41 +196,32 @@ def is_balanced(phi: GainGraph) -> BalanceCertificate:
     tree path between its endpoints.
     """
     g = phi.graph
+    order, parent = g._forest
     zeta: list[complex] = [1.0 + 0.0j] * g.n
-    parent = [-1] * g.n
-    seen = [False] * g.n
-    tree: set[Edge] = set()
+    for w in order:
+        u = parent[w]
+        if u != -1:
+            zeta[w] = zeta[u] * phi.gain(w, u)
 
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = u
-                    zeta[w] = zeta[u] * phi.gain(w, u)
-                    tree.add((u, w) if u < w else (w, u))
-                    queue.append(w)
-
-    for u, v in sorted(g.edges - frozenset(tree)):
-        switched = zeta[u].conjugate() * phi.gain(u, v) * zeta[v]
-        if abs(switched - 1.0) > BALANCE_TOL:
-            cyc = _fundamental_cycle(parent, u, v)
-            return BalanceCertificate(
-                balanced=False,
-                violating_cycle=cyc,
-                violation_gain=cycle_gain(phi, cyc),
-            )
+    # Non-tree edges in ascending (u, v) order, so the witness is deterministic.
+    for u in range(g.n):
+        for v in g.neighbors(u):
+            if v < u or parent[v] == u or parent[u] == v:
+                continue
+            switched = zeta[u].conjugate() * phi.gain(u, v) * zeta[v]
+            if abs(switched - 1.0) > BALANCE_TOL:
+                cyc = _fundamental_cycle(parent, u, v)
+                return BalanceCertificate(
+                    balanced=False,
+                    violating_cycle=cyc,
+                    violation_gain=cycle_gain(phi, cyc),
+                )
     return BalanceCertificate(
         balanced=True, witness=SwitchingFunction(tuple(zeta))
     )
 
 
-def _fundamental_cycle(parent: list[int], u: int, v: int) -> tuple[int, ...]:
+def _fundamental_cycle(parent: Sequence[int], u: int, v: int) -> tuple[int, ...]:
     """Closed vertex sequence: tree path meet..u, then edge u-v, then v..meet."""
     anc_u = [u]
     x = u

@@ -10,7 +10,6 @@ value.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -52,6 +51,52 @@ class Graph:
             nbrs[u].append(v)
             nbrs[v].append(u)
         return tuple(tuple(sorted(a)) for a in nbrs)
+
+    @cached_property
+    def _forest(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """BFS forest: the visiting order and each vertex's tree parent (-1 at
+        roots).  Roots and neighbours are taken in ascending order, so every
+        component is rooted at its lowest-numbered vertex."""
+        parent = [-1] * self.n
+        seen = [False] * self.n
+        order: list[int] = []
+        for root in range(self.n):
+            if seen[root]:
+                continue
+            seen[root] = True
+            head = len(order)
+            order.append(root)
+            while head < len(order):
+                u = order[head]
+                head += 1
+                for w in self._adjacency[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        parent[w] = u
+                        order.append(w)
+        return tuple(order), tuple(parent)
+
+    @cached_property
+    def _bipartition(self) -> "Bipartition":
+        """Components and two-coloring read off ``_forest``."""
+        order, parent = self._forest
+        side = [0] * self.n
+        comp_of = [0] * self.n
+        comps: list[list[int]] = []
+        for v in order:
+            if parent[v] == -1:
+                comps.append([])
+            else:
+                side[v] = side[parent[v]] ^ 1
+            comp_of[v] = len(comps) - 1
+            comps[-1].append(v)
+        exists = [True] * len(comps)
+        for u, v in self.edges:
+            if side[u] == side[v]:
+                exists[comp_of[u]] = False
+        return Bipartition(
+            tuple(tuple(sorted(c)) for c in comps), tuple(exists), tuple(side)
+        )
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adjacency[v]
@@ -112,55 +157,16 @@ def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int]
 
 def components(g: Graph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by smallest member."""
-    seen = [False] * g.n
-    parts: list[tuple[int, ...]] = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = deque([root])
-        comp = [root]
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        parts.append(tuple(sorted(comp)))
-    return parts
+    return list(g._bipartition.components)
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
+    return len(g._bipartition.components) <= 1
 
 
 def bipartition(g: Graph) -> Bipartition:
     """BFS two-coloring per component; a component fails iff it has an odd cycle."""
-    side = [0] * g.n
-    seen = [False] * g.n
-    comps: list[tuple[int, ...]] = []
-    flags: list[bool] = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        ok = True
-        queue = deque([root])
-        comp = [root]
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    side[w] = side[u] ^ 1
-                    comp.append(w)
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    ok = False
-        comps.append(tuple(sorted(comp)))
-        flags.append(ok)
-    return Bipartition(tuple(comps), tuple(flags), tuple(side))
+    return g._bipartition
 
 
 def edge_cut(g: Graph, vs: Iterable[int]) -> frozenset[Edge]:
@@ -244,9 +250,10 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 
 
 def named_graph(kind: str, *params: int) -> Graph:
-    """Dispatch on a construction name: path, cycle, complete,
+    """Dispatch on a construction name: knn (K_{t,t}), path, cycle, complete,
     complete_bipartite, star, c6tilde."""
     builders = {
+        "knn": (lambda t: complete_bipartite(t, t), 1),
         "path": (path_graph, 1),
         "cycle": (cycle_graph, 1),
         "complete": (complete_graph, 1),
@@ -255,7 +262,7 @@ def named_graph(kind: str, *params: int) -> Graph:
         "c6tilde": (chorded_six_cycle, 0),
     }
     if kind not in builders:
-        raise ValueError(f"unknown graph kind {kind!r}")
+        raise ValueError(f"unknown kind {kind!r}")
     builder, arity = builders[kind]
     if len(params) != arity:
         raise ValueError(f"{kind} takes {arity} parameter(s), got {len(params)}")

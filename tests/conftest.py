@@ -7,9 +7,18 @@ sides of an assertion.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from gainspec import GainGraph, Graph
+
+# pytest puts src/ on sys.path (pyproject.toml); CLI subprocesses need it too.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 def adjacency_oracle(phi: GainGraph) -> np.ndarray:

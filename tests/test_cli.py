@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from gainspec import parse_gain_graph, serialize_gain_graph
+from gainspec import bounds, cli, corpus, gains, parse_gain_graph, serialize_gain_graph
 from gainspec.cli import main
 
 
@@ -227,3 +228,26 @@ def test_double_size_limit(capsys, tmp_path):
     capsys.readouterr()
     code, _, err = run_cli(capsys, "double", str(src))
     assert code == 2 and "limit" in err
+
+
+def test_analysis_report_solves_and_checks_balance_once(monkeypatch):
+    phi = corpus.extremal_union([2, 1], isolated=1, switch_seed=3)
+    calls = {"eigh": 0, "is_balanced": 0}
+    real_eigh, real_is_balanced = np.linalg.eigh, gains.is_balanced
+
+    def counting_eigh(a, *args, **kwargs):
+        calls["eigh"] += 1
+        return real_eigh(a, *args, **kwargs)
+
+    def counting_is_balanced(psi):
+        calls["is_balanced"] += 1
+        return real_is_balanced(psi)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    # bounds binds the name itself, so patch it in both modules
+    monkeypatch.setattr(gains, "is_balanced", counting_is_balanced)
+    monkeypatch.setattr(bounds, "is_balanced", counting_is_balanced)
+    doc = cli.analysis_report(phi)
+    assert calls == {"eigh": 1, "is_balanced": 1}
+    assert doc["balanced"] and doc["structurally_extremal"] and doc["consistent"]
+    assert doc["energy"] == pytest.approx(sum(abs(v) for v in doc["eigenvalues"]))

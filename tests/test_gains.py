@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 import random
 
 import pytest
@@ -36,6 +37,7 @@ from gainspec import (
     unit,
     unit_from_angle,
 )
+from gainspec.gains import GainGraph
 from gainspec.graphs import Graph
 
 angles = st.floats(0.0, 2.0 * math.pi, allow_nan=False)
@@ -290,3 +292,15 @@ def test_delete_gain_edges_and_induced_keep_gains():
     assert sub.graph.m == 4
     # relabeling 0,1,4,5 -> 0,1,2,3; chord (1,4) -> (1,2)
     assert sub.forward[(1, 2)] == phi.forward[(1, 4)]
+
+
+def test_gains_are_immutable_after_construction():
+    phi = all_ones(cycle_graph(4))
+    with pytest.raises(TypeError):
+        phi.forward[(0, 1)] = 2j
+
+    store = {e: 1.0 + 0.0j for e in cycle_graph(4).edges}
+    psi = GainGraph(cycle_graph(4), store)
+    store[(0, 1)] = 1j
+    assert psi.gain(0, 1) == 1.0
+    assert dict(pickle.loads(pickle.dumps(psi)).forward) == dict(psi.forward)
