@@ -5,14 +5,15 @@ matching number, the gap between them, whether the bound is numerically
 attained (gap <= 1e-6), and whether the graph has the exact structure that
 attains it (balanced gains on a disjoint union of equal-sided complete
 bipartite blocks plus isolated vertices).  The two verdicts must always
-agree; ``consistent`` records that.  The report also carries the spectrum
-and the balance certificate it was computed from.
+agree; ``consistent`` records that.  The report also carries the gain
+graph, the spectrum and the balance certificate it was computed from.
 
-The ``check_*`` functions stress the supporting inequalities on single
-instances or corpora and accumulate into ``LemmaReport`` values: instance
-counts, violations (always expected empty), skip reasons for inputs that
-fail a precondition, and the worst margin observed.  ``run_lemma_suite``
-drives all of them over seeded corpora.
+The ``check_*`` functions stress the supporting inequalities on the
+``BoundReport`` of single instances or corpora and accumulate into
+``LemmaReport`` values: instance counts, violations (always expected empty),
+skip reasons for inputs that fail a precondition, and the worst margin
+observed.  ``run_lemma_suite`` drives all of them over seeded corpora,
+analysing each instance once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterable, Sequence
 from . import corpus, gains, graphs
 from .gains import BalanceCertificate, GainGraph, is_balanced
 from .graphs import Graph, bipartition, edge_cut, induced_subgraph, is_connected
-from .matching import has_perfect_matching, maximum_matching
+from .matching import maximum_matching
 from .spectra import Spectrum, energy, spectrum
 
 GAP_TIGHT_TOL = 1e-6     # "numerically tight" threshold on energy - 2*mu
@@ -35,8 +36,9 @@ STRICT_MARGIN = 1e-8     # strict inequalities must clear this
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One analysis pass: the spectrum, the matching number and the balance
-    certificate are each computed once, and both verdicts read from them."""
+    """One analysis pass over ``phi``: the spectrum, the matching number and
+    the balance certificate are each computed once, and both verdicts (and
+    every lemma checker) read from them."""
 
     energy: float
     mu: int
@@ -46,6 +48,7 @@ class BoundReport:
     consistent: bool
     spectrum: Spectrum = field(compare=False, repr=False)
     balance: BalanceCertificate = field(compare=False, repr=False)
+    phi: GainGraph = field(compare=False, repr=False)
 
 
 def gap(phi: GainGraph) -> float:
@@ -93,6 +96,7 @@ def bound_report(phi: GainGraph) -> BoundReport:
         consistent=tight == extremal,
         spectrum=spec,
         balance=cert,
+        phi=phi,
     )
 
 
@@ -215,13 +219,13 @@ LEMMA_ORDER = (
 
 
 def check_edge_cut_lemma(
-    phi: GainGraph, vs: Iterable[int], report: LemmaReport | None = None
+    rep: BoundReport, vs: Iterable[int], report: LemmaReport | None = None
 ) -> LemmaReport:
     """Deleting an edge cut never raises the energy; a star cut strictly
     lowers it.  Margin: energy drop."""
     report = report or LemmaReport(EDGE_CUT)
-    cut = edge_cut(phi.graph, vs)
-    drop = energy(phi) - energy(gains.delete_gain_edges(phi, cut))
+    cut = edge_cut(rep.phi.graph, vs)
+    drop = rep.energy - energy(gains.delete_gain_edges(rep.phi, cut))
     report.record(drop)
     if drop < -STRICT_MARGIN:
         report.violate(f"energy rose by {-drop:.3e} after deleting a cut")
@@ -231,12 +235,12 @@ def check_edge_cut_lemma(
 
 
 def check_pendant_lemma(
-    phi: GainGraph, report: LemmaReport | None = None
+    rep: BoundReport, report: LemmaReport | None = None
 ) -> LemmaReport:
     """Connected with a pendant vertex (n >= 3) forces a strictly positive
     gap.  Margin: the gap."""
     report = report or LemmaReport(PENDANT)
-    g = phi.graph
+    g = rep.phi.graph
     if g.n < 3:
         report.skip("fewer than 3 vertices")
         return report
@@ -246,7 +250,7 @@ def check_pendant_lemma(
     if not graphs.pendant_vertices(g):
         report.skip("no pendant vertex")
         return report
-    margin = gap(phi)
+    margin = rep.gap
     report.record(margin)
     if margin <= STRICT_MARGIN:
         report.violate(f"pendant instance has gap {margin:.3e}")
@@ -274,39 +278,38 @@ def check_c6tilde_lemma(
 
 
 def check_perfect_matching_lemma(
-    members: Iterable[GainGraph], report: LemmaReport | None = None
+    members: Iterable[BoundReport], report: LemmaReport | None = None
 ) -> LemmaReport:
     """A tight gain graph without isolated vertices has a perfect matching.
     Margin: smallest gap seen (tight members drive it to ~0)."""
     report = report or LemmaReport(PERFECT_MATCHING)
-    for phi in members:
-        g = phi.graph
+    for rep in members:
+        g = rep.phi.graph
         if any(g.degree(v) == 0 for v in range(g.n)):
             report.skip("has isolated vertices")
             continue
-        this_gap = gap(phi)
-        report.record(this_gap)
-        if this_gap <= GAP_TIGHT_TOL and not has_perfect_matching(g):
+        report.record(rep.gap)
+        if rep.numerically_tight and 2 * rep.mu != g.n:
             report.violate(
-                f"tight instance (gap {this_gap:.3e}) lacks a perfect matching"
+                f"tight instance (gap {rep.gap:.3e}) lacks a perfect matching"
             )
     return report
 
 
 def check_nonbipartite_lemma(
-    members: Iterable[GainGraph], report: LemmaReport | None = None
+    members: Iterable[BoundReport], report: LemmaReport | None = None
 ) -> LemmaReport:
     """Connected non-bipartite underlying graphs have strictly positive gap.
     Margin: the gap."""
     report = report or LemmaReport(NONBIPARTITE)
-    for phi in members:
-        if not is_connected(phi.graph):
+    for rep in members:
+        if not is_connected(rep.phi.graph):
             report.skip("not connected")
             continue
-        if bipartition(phi.graph).is_bipartite:
+        if bipartition(rep.phi.graph).is_bipartite:
             report.skip("bipartite")
             continue
-        margin = gap(phi)
+        margin = rep.gap
         report.record(margin)
         if margin <= STRICT_MARGIN:
             report.violate(f"non-bipartite instance has gap {margin:.3e}")
@@ -314,26 +317,25 @@ def check_nonbipartite_lemma(
 
 
 def check_subgraph_lemma(
-    phi: GainGraph, vs: Iterable[int], report: LemmaReport | None = None
+    rep: BoundReport, vs: Iterable[int], report: LemmaReport | None = None
 ) -> LemmaReport:
     """When the matching number splits additively across an induced subgraph
     and its complement, tightness propagates to the subgraph, which then
     cannot be the 4-path or the chorded six-cycle.  Margin: the subgraph gap
     for tight instances, the full gap otherwise."""
     report = report or LemmaReport(SUBGRAPH)
-    vs = sorted(set(vs))
-    g = phi.graph
+    inside = set(vs)
+    vs = sorted(inside)
+    g = rep.phi.graph
     g1, _ = induced_subgraph(g, vs)
-    rest = [v for v in range(g.n) if v not in set(vs)]
-    g2, _ = induced_subgraph(g, rest)
-    if maximum_matching(g).mu != maximum_matching(g1).mu + maximum_matching(g2).mu:
+    g2, _ = induced_subgraph(g, [v for v in range(g.n) if v not in inside])
+    if rep.mu != maximum_matching(g1).mu + maximum_matching(g2).mu:
         report.skip("matching number not additive over the split")
         return report
-    full_gap = gap(phi)
-    if full_gap > GAP_TIGHT_TOL:
-        report.record(full_gap)
+    if not rep.numerically_tight:
+        report.record(rep.gap)
         return report
-    phi1 = gains.induced_gain_subgraph(phi, vs)
+    phi1 = gains.induced_gain_subgraph(rep.phi, vs)
     sub_gap = gap(phi1)
     report.record(sub_gap)
     if sub_gap > GAP_TIGHT_TOL:
@@ -348,13 +350,13 @@ def check_subgraph_lemma(
 
 
 def check_balance_lemma(
-    members: Iterable[GainGraph], report: LemmaReport | None = None
+    members: Iterable[BoundReport], report: LemmaReport | None = None
 ) -> LemmaReport:
     """Tight connected bipartite gain graphs are balanced and equal-sided
     complete bipartite.  Margin: smallest gap seen."""
     report = report or LemmaReport(BALANCE)
-    for phi in members:
-        g = phi.graph
+    for rep in members:
+        g = rep.phi.graph
         if g.n < 2:
             report.skip("fewer than 2 vertices")
             continue
@@ -364,14 +366,13 @@ def check_balance_lemma(
         if not bipartition(g).is_bipartite:
             report.skip("not bipartite")
             continue
-        this_gap = gap(phi)
-        report.record(this_gap)
-        if this_gap <= GAP_TIGHT_TOL:
-            if not is_balanced(phi).balanced:
-                report.violate(f"tight instance (gap {this_gap:.3e}) is unbalanced")
-            if not is_extremal_structure(phi):
+        report.record(rep.gap)
+        if rep.numerically_tight:
+            if not rep.balance.balanced:
+                report.violate(f"tight instance (gap {rep.gap:.3e}) is unbalanced")
+            if not rep.structurally_extremal:
                 report.violate(
-                    f"tight instance (gap {this_gap:.3e}) is not an equal-sided "
+                    f"tight instance (gap {rep.gap:.3e}) is not an equal-sided "
                     "complete bipartite block"
                 )
     return report
@@ -389,88 +390,81 @@ C6_TRIAL_FACTOR = (5, 2)
 def run_lemma_suite(
     seed: int = 42, trials: int = 200, nmax: int = 10
 ) -> list[LemmaReport]:
-    """Run every lemma sweep over seeded corpora; deterministic in seed."""
+    """Run every lemma sweep over seeded corpora; deterministic in seed.
+    Each instance gets one ``bound_report``, judged by every lemma visiting it."""
     master = random.Random(seed)
 
     def sub_rng() -> random.Random:
         return random.Random(master.randrange(2**32))
 
+    def stripped(rep: BoundReport) -> BoundReport:
+        phi = corpus.without_isolated(rep.phi)
+        return rep if phi is rep.phi else bound_report(phi)
+
     base = corpus.random_gain_corpus(master.randrange(2**32), trials, nmax)
     rng_extremal = sub_rng()
-    extremal: list[GainGraph] = []
+    extremal: list[BoundReport] = []
     parts_pool = corpus.part_multisets(6)
     for k in range(max(trials // 8, 1) if trials else 0):
         parts = parts_pool[k % len(parts_pool)]
-        extremal.append(
-            corpus.extremal_union(
-                parts,
-                isolated=rng_extremal.randrange(3),
-                switch_seed=rng_extremal,
-            )
+        phi = corpus.extremal_union(
+            parts, isolated=rng_extremal.randrange(3), switch_seed=rng_extremal
         )
+        extremal.append(bound_report(phi))
 
     reports = {name: LemmaReport(name) for name in LEMMA_ORDER}
+    rng_cut, rng_tree, rng_c6, rng_split, rng_bal = (sub_rng() for _ in range(5))
 
-    rng_cut = sub_rng()
-    for k in range(trials):
-        phi = base[k % len(base)]
+    # len(base) == trials: base instance k is step k of every base sweep.
+    for k, phi in enumerate(base):
+        rep = bound_report(phi)
         n = phi.graph.n
         if k % 3 == 0 and n:
             vs: Sequence[int] = [rng_cut.randrange(n)]  # singleton: star cut
         else:
             vs = rng_cut.sample(range(n), rng_cut.randint(0, n))
-        check_edge_cut_lemma(phi, vs, reports[EDGE_CUT])
+        check_edge_cut_lemma(rep, vs, reports[EDGE_CUT])
+        check_perfect_matching_lemma([stripped(rep)], reports[PERFECT_MATCHING])
+        check_nonbipartite_lemma([rep], reports[NONBIPARTITE])
+        if extremal and k % 2 == 0:
+            ext = extremal[(k // 2) % len(extremal)]
+            subsets = corpus.component_subsets(ext.phi.graph, rng_split)
+            for vs in subsets:
+                check_subgraph_lemma(ext, vs, reports[SUBGRAPH])
+            if not subsets:
+                reports[SUBGRAPH].skip("single component, no proper split")
+        else:
+            vs = rng_split.sample(range(n), rng_split.randint(0, n))
+            check_subgraph_lemma(rep, vs, reports[SUBGRAPH])
+        check_balance_lemma([rep], reports[BALANCE])
 
-    rng_tree = sub_rng()
     for k in range(trials):
         n = 3 + k % max(nmax - 2, 1)
         tree = corpus.random_tree(n, rng_tree)
         check_pendant_lemma(
-            gains.random_gain_graph(tree, rng_tree), reports[PENDANT]
+            bound_report(gains.random_gain_graph(tree, rng_tree)), reports[PENDANT]
         )
 
     check_c6tilde_lemma(
-        sub_rng(),
+        rng_c6,
         trials * C6_TRIAL_FACTOR[0] // C6_TRIAL_FACTOR[1],
         reports[CHORDED_HEXAGON],
     )
 
-    check_perfect_matching_lemma(
-        [corpus.without_isolated(phi) for phi in base + extremal],
-        reports[PERFECT_MATCHING],
-    )
+    check_perfect_matching_lemma(map(stripped, extremal), reports[PERFECT_MATCHING])
 
-    check_nonbipartite_lemma(base, reports[NONBIPARTITE])
-
-    rng_split = sub_rng()
-    for k in range(trials):
-        if extremal and k % 2 == 0:
-            phi = extremal[(k // 2) % len(extremal)]
-            subsets = corpus.component_subsets(phi.graph, rng_split)
-            for vs in subsets:
-                check_subgraph_lemma(phi, vs, reports[SUBGRAPH])
-            if not subsets:
-                reports[SUBGRAPH].skip("single component, no proper split")
-        else:
-            phi = base[k % len(base)]
-            n = phi.graph.n
-            vs = rng_split.sample(range(n), rng_split.randint(0, n))
-            check_subgraph_lemma(phi, vs, reports[SUBGRAPH])
-
-    rng_bal = sub_rng()
-    balance_corpus = list(base)
+    balance_extras: list[GainGraph] = []
     for t in range(1, min(4, max(nmax // 2, 1)) + 1):
         for _ in range(3):
-            balance_corpus.append(
+            balance_extras.append(
                 corpus.extremal_union([t], switch_seed=rng_bal)
             )
         phi = gains.all_ones(graphs.complete_bipartite(t, t))
         if t >= 2:
-            balance_corpus.append(
+            balance_extras.append(
                 gains.set_gain(phi, 0, t, gains.unit_from_angle(0.25 * math.pi))
             )
-    if not trials:
-        balance_corpus = []
-    check_balance_lemma(balance_corpus, reports[BALANCE])
+    if trials:
+        check_balance_lemma(map(bound_report, balance_extras), reports[BALANCE])
 
     return [reports[name] for name in LEMMA_ORDER]

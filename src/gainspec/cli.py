@@ -6,7 +6,8 @@
     gainspec double <file>        bipartite double plus spectrum-doubling check
 
 Reports go to standard output as JSON (default) or flat text.  Exit codes:
-0 all checks passed, 1 a check failed, 2 bad usage or unparseable input.
+0 all checks passed, 1 a check failed, 2 bad usage, unparseable input, or
+input too large to solve densely.
 GAINSPEC_SEED overrides the default seed when --seed is absent.
 """
 
@@ -101,7 +102,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"gainspec: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    doc = analysis_report(phi)
+    try:
+        doc = analysis_report(phi)
+    except ValueError as exc:
+        print(f"gainspec: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     _emit(doc, args.format)
     return EXIT_OK if doc["consistent"] else EXIT_CHECK_FAILED
 
@@ -203,19 +208,18 @@ def _cmd_double(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"gainspec: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    doubled = gains.bipartite_double(phi)
     doc = {
         "n": phi.graph.n,
         "m": phi.graph.m,
-        "energy": float(spectra.energy(phi)),
-        "double_n": doubled.graph.n,
+        "energy": check.energy,
+        "double_n": check.product.graph.n,
         "double_energy": check.double_energy,
         "expected_double_energy": check.expected_double_energy,
         "spectrum_deviation": check.spectrum_deviation,
         "ok": check.ok,
     }
     text = fileio.serialize_gain_graph(
-        doubled, comment=f"bipartite double of {args.file}"
+        check.product, comment=f"bipartite double of {args.file}"
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -226,6 +230,14 @@ def _cmd_double(args: argparse.Namespace) -> int:
         print(json.dumps(doc) if args.format == "json" else _render(doc),
               file=sys.stderr)
     return EXIT_OK if check.ok else EXIT_CHECK_FAILED
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type for counts; argparse names it when ``int`` fails."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lemmas = sub.add_parser("lemmas", help="run the seeded lemma sweeps")
     p_lemmas.add_argument("--seed", type=int, default=None)
-    p_lemmas.add_argument("--trials", type=int, default=200)
+    p_lemmas.add_argument("--trials", type=non_negative_int, default=200)
     p_lemmas.add_argument("--nmax", type=int, default=10)
     p_lemmas.add_argument("--format", choices=("json", "text"), default="json")
     p_lemmas.set_defaults(func=_cmd_lemmas)

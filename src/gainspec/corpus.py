@@ -111,8 +111,11 @@ def structured_perturbations(seed: int, count: int) -> list[GainGraph]:
 
 
 def without_isolated(phi: GainGraph) -> GainGraph:
-    """Drop degree-0 vertices (relabeling the rest)."""
+    """Drop degree-0 vertices (relabeling the rest); ``phi`` itself when
+    there are none."""
     keep = [v for v in range(phi.graph.n) if phi.graph.degree(v) > 0]
+    if len(keep) == phi.graph.n:
+        return phi
     return gains.induced_gain_subgraph(phi, keep)
 
 

@@ -23,6 +23,8 @@ HERMITIAN_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
 KRONECKER_TOL = 1e-7
 CHAR_POLY_MAX_N = 12
+# One complex n x n matrix at this order is 268 MB, and a solve holds several.
+DENSE_MAX_ORDER = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,8 +36,13 @@ class Spectrum:
 
 
 def adjacency(phi: GainGraph) -> np.ndarray:
-    """Hermitian adjacency matrix of a gain graph (complex, dense)."""
+    """Hermitian adjacency matrix of a gain graph (complex, dense).
+
+    Orders above ``DENSE_MAX_ORDER`` raise ``ValueError`` before allocating.
+    """
     n = phi.graph.n
+    if n > DENSE_MAX_ORDER:
+        raise ValueError(f"order {n} exceeds the dense limit {DENSE_MAX_ORDER}")
     a = np.zeros((n, n), dtype=complex)
     for (u, v), z in phi.forward.items():
         a[u, v] = z
@@ -147,7 +154,9 @@ def four_cycle_energy(a: complex, b: complex) -> float:
 class KroneckerCheck:
     """Comparison of product spectra against the factor eigenvalue products."""
 
+    product: GainGraph
     product_order: int
+    energy: float                   # of the first factor
     spectrum_deviation: float       # max multiset gap, sorted elementwise
     spectrum_ok: bool
     double_energy: float | None     # only when the second factor is K2
@@ -171,7 +180,8 @@ def kronecker_spectrum_check(phi: GainGraph, h: Graph) -> KroneckerCheck:
         raise ValueError(
             f"product order {order} exceeds the limit {KRONECKER_MAX_ORDER}"
         )
-    eta = spectrum(phi).eigenvalues
+    first = spectrum(phi)
+    eta = first.eigenvalues
     lam = spectrum(all_ones(h)).eigenvalues
     expected = np.sort(np.outer(eta, lam).ravel())
     product = kronecker(phi, h)
@@ -182,11 +192,13 @@ def kronecker_spectrum_check(phi: GainGraph, h: Graph) -> KroneckerCheck:
     double_energy = expected_double = doubling_ok = None
     if h.n == 2 and h.m == 1:
         double_energy = actual_spec.energy
-        expected_double = 2.0 * float(np.sum(np.abs(eta)))
+        expected_double = 2.0 * first.energy
         doubling_ok = abs(double_energy - expected_double) <= KRONECKER_TOL
 
     return KroneckerCheck(
+        product=product,
         product_order=order,
+        energy=first.energy,
         spectrum_deviation=deviation,
         spectrum_ok=deviation <= KRONECKER_TOL,
         double_energy=double_energy,

@@ -146,16 +146,16 @@ def test_lemma_report_mechanics():
 
 
 def test_edge_cut_lemma_fixed_cases():
-    rep = check_edge_cut_lemma(all_ones(complete_graph(2)), {0})
+    rep = check_edge_cut_lemma(bound_report(all_ones(complete_graph(2))), {0})
     assert rep.ok and rep.instances == 1
     assert rep.worst_margin == pytest.approx(2.0, abs=1e-9)  # strict star drop
 
-    rep = check_edge_cut_lemma(all_ones(complete_bipartite(2, 2)), {0, 1})
+    rep = check_edge_cut_lemma(bound_report(all_ones(complete_bipartite(2, 2))), {0, 1})
     assert rep.ok
     assert rep.worst_margin == pytest.approx(4.0, abs=1e-9)
 
     # empty cut: energy unchanged, monotonicity holds with margin 0
-    rep = check_edge_cut_lemma(all_ones(cycle_graph(4)), set())
+    rep = check_edge_cut_lemma(bound_report(all_ones(cycle_graph(4))), set())
     assert rep.ok and rep.worst_margin == pytest.approx(0.0, abs=1e-12)
 
 
@@ -166,24 +166,26 @@ def test_edge_cut_lemma_random_sweep():
         g = gnp_graph(rng.randrange(2, 10), rng.choice((0.3, 0.5, 0.8)), rng)
         phi = random_gain_graph(g, rng)
         vs = rng.sample(range(g.n), rng.randint(0, g.n))
-        check_edge_cut_lemma(phi, vs, rep)
+        check_edge_cut_lemma(bound_report(phi), vs, rep)
     assert rep.ok and rep.instances == 60
 
 
 def test_pendant_lemma():
-    rep = check_pendant_lemma(all_ones(path_graph(3)))
+    rep = check_pendant_lemma(bound_report(all_ones(path_graph(3))))
     assert rep.ok and rep.worst_margin == pytest.approx(
         2 * math.sqrt(2) - 2, abs=1e-9
     )
-    rep = check_pendant_lemma(all_ones(star_graph(4)))
+    rep = check_pendant_lemma(bound_report(all_ones(star_graph(4))))
     assert rep.ok and rep.worst_margin == pytest.approx(2.0, abs=1e-9)
 
     # preconditions produce skips, never passes
-    rep = check_pendant_lemma(all_ones(cycle_graph(4)))
+    rep = check_pendant_lemma(bound_report(all_ones(cycle_graph(4))))
     assert rep.instances == 0 and rep.skips == 1
-    rep = check_pendant_lemma(all_ones(disjoint_union(path_graph(2), path_graph(2))))
+    rep = check_pendant_lemma(
+        bound_report(all_ones(disjoint_union(path_graph(2), path_graph(2))))
+    )
     assert rep.instances == 0 and rep.skip_reasons["not connected"] == 1
-    rep = check_pendant_lemma(all_ones(path_graph(2)))
+    rep = check_pendant_lemma(bound_report(all_ones(path_graph(2))))
     assert rep.instances == 0 and rep.skips == 1
 
 
@@ -194,7 +196,7 @@ def test_pendant_lemma_random_trees():
     rep = LemmaReport("pendant_strictness")
     for _ in range(40):
         tree = random_tree(rng.randrange(3, 10), rng)
-        check_pendant_lemma(random_gain_graph(tree, rng), rep)
+        check_pendant_lemma(bound_report(random_gain_graph(tree, rng)), rep)
     assert rep.ok and rep.instances == 40
     assert rep.worst_margin > 1e-8
 
@@ -208,16 +210,18 @@ def test_c6tilde_lemma_sweep():
 def test_perfect_matching_lemma():
     members = [all_ones(complete_bipartite(t, t)) for t in range(1, 5)]
     members.append(all_ones(path_graph(4)))  # not tight: vacuous
-    rep = check_perfect_matching_lemma(members)
+    rep = check_perfect_matching_lemma(map(bound_report, members))
     assert rep.ok and rep.instances == 5
 
-    rep = check_perfect_matching_lemma([all_ones(disjoint_union(path_graph(2), empty_graph(1)))])
+    rep = check_perfect_matching_lemma(
+        [bound_report(all_ones(disjoint_union(path_graph(2), empty_graph(1))))]
+    )
     assert rep.instances == 0 and rep.skip_reasons["has isolated vertices"] == 1
 
 
 def test_nonbipartite_lemma():
     rep = check_nonbipartite_lemma(
-        [all_ones(cycle_graph(3)), all_ones(cycle_graph(5))]
+        [bound_report(all_ones(cycle_graph(3))), bound_report(all_ones(cycle_graph(5)))]
     )
     assert rep.ok and rep.instances == 2
     assert rep.worst_margin == pytest.approx(2.0, abs=1e-9)  # triangle: 4 - 2*1
@@ -227,7 +231,7 @@ def test_nonbipartite_lemma():
     while len(members) < 25:
         g = gnp_graph(rng.randrange(3, 10), 0.6, rng)
         members.append(random_gain_graph(g, rng))
-    rep = check_nonbipartite_lemma(members)
+    rep = check_nonbipartite_lemma(map(bound_report, members))
     assert rep.ok
     assert rep.instances + rep.skips == 25
 
@@ -235,20 +239,20 @@ def test_nonbipartite_lemma():
 def test_subgraph_lemma():
     # tight union: tightness propagates to a component split
     phi = all_ones(disjoint_union(complete_bipartite(2, 2), complete_bipartite(1, 1)))
-    rep = check_subgraph_lemma(phi, {4, 5})
+    rep = check_subgraph_lemma(bound_report(phi), {4, 5})
     assert rep.ok and rep.instances == 1
 
     # inside one tight block: an edge plus its complement split additively
     phi = all_ones(complete_bipartite(3, 3))
-    rep = check_subgraph_lemma(phi, {0, 3})
+    rep = check_subgraph_lemma(bound_report(phi), {0, 3})
     assert rep.ok and rep.instances == 1
 
     # non-tight instances pass vacuously
-    rep = check_subgraph_lemma(all_ones(chorded_six_cycle()), {0, 1})
+    rep = check_subgraph_lemma(bound_report(all_ones(chorded_six_cycle())), {0, 1})
     assert rep.ok
 
     # non-additive split records a skip: C4 minus opposite vertices
-    rep = check_subgraph_lemma(all_ones(cycle_graph(4)), {0, 2})
+    rep = check_subgraph_lemma(bound_report(all_ones(cycle_graph(4))), {0, 2})
     assert rep.instances == 0 and rep.skips == 1
 
 
@@ -266,10 +270,12 @@ def test_balance_lemma():
     members.append(
         set_gain(all_ones(complete_bipartite(3, 3)), 0, 3, unit_from_angle(math.pi / 4))
     )
-    rep = check_balance_lemma(members)
+    rep = check_balance_lemma(map(bound_report, members))
     assert rep.ok and rep.instances == 5
 
-    rep = check_balance_lemma([all_ones(cycle_graph(3)), all_ones(empty_graph(1))])
+    rep = check_balance_lemma(
+        [bound_report(all_ones(cycle_graph(3))), bound_report(all_ones(empty_graph(1)))]
+    )
     assert rep.instances == 0 and rep.skips == 2
 
 
@@ -326,3 +332,28 @@ def test_gap_helper():
     assert gap(all_ones(path_graph(4))) == pytest.approx(
         2 * math.sqrt(5) - 4, abs=1e-9
     )
+
+
+def test_run_lemma_suite_analyses_each_instance_once(monkeypatch):
+    from gainspec import bounds, matching, spectra
+
+    # keep every argument alive so that no id is reused
+    solved, matched = [], []
+    real_adjacency, real_matching = spectra.adjacency, matching.maximum_matching
+
+    def counting_adjacency(phi):
+        solved.append(phi)
+        return real_adjacency(phi)
+
+    def counting_matching(g):
+        matched.append(g)
+        return real_matching(g)
+
+    monkeypatch.setattr(spectra, "adjacency", counting_adjacency)
+    # bounds binds the name itself, so patch it in both modules
+    monkeypatch.setattr(matching, "maximum_matching", counting_matching)
+    monkeypatch.setattr(bounds, "maximum_matching", counting_matching)
+    run_lemma_suite(seed=1, trials=40, nmax=6)
+    assert solved and matched
+    assert len({id(phi) for phi in solved}) == len(solved)
+    assert len({id(g) for g in matched}) == len(matched)

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from gainspec import bounds, cli, corpus, gains, parse_gain_graph, serialize_gain_graph
+from gainspec import (
+    bounds, cli, corpus, gains, parse_gain_graph, serialize_gain_graph, spectra,
+)
 from gainspec.cli import main
 
 
@@ -111,6 +113,14 @@ def test_lemmas_zero_trials_warns(capsys):
     doc = json.loads(out)
     assert all(entry["instances"] == 0 for entry in doc["lemmas"])
     assert err.count("zero instances") == len(doc["lemmas"])
+
+
+def test_lemmas_rejects_negative_trials(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lemmas", "--trials", "-5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--trials" in captured.err
 
 
 def test_generate_knn_content(capsys):
@@ -251,3 +261,31 @@ def test_analysis_report_solves_and_checks_balance_once(monkeypatch):
     assert calls == {"eigh": 1, "is_balanced": 1}
     assert doc["balanced"] and doc["structurally_extremal"] and doc["consistent"]
     assert doc["energy"] == pytest.approx(sum(abs(v) for v in doc["eigenvalues"]))
+
+
+def test_double_solves_its_input_once(capsys, monkeypatch, tmp_path):
+    src = tmp_path / "c3.ugg"
+    main(["generate", "cycle", "3", "--out", str(src)])
+    capsys.readouterr()
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    code, _, err = run_cli(capsys, "double", str(src))
+    assert code == 0
+    # the triangle, the K2 factor and the double, once each
+    assert sorted(calls) == [2, 3, 6]
+    doc = json.loads(err.strip().splitlines()[-1])
+    assert doc["energy"] == pytest.approx(4.0, abs=1e-9) and doc["double_n"] == 6
+
+
+def test_analyze_refuses_order_above_dense_limit(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(spectra, "DENSE_MAX_ORDER", 8)
+    src = tmp_path / "big.ugg"
+    src.write_text("ugg 9\n0 1 0\n")
+    code, out, err = run_cli(capsys, "analyze", str(src))
+    assert code == 2 and out == "" and "limit" in err

@@ -109,3 +109,17 @@ def test_edge_deletion_monotonicity():
 def test_oracle_size_limit():
     with pytest.raises(ValueError):
         matching_oracle(empty_graph(13))
+
+
+def test_blossom_agrees_with_networkx_beyond_oracle_range():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(13)
+    cases = [(n, p) for n in (13, 17, 24, 31) for p in (0.3, 0.5, 0.8)]
+    cases += [(n, p) for n in (60, 101, 200) for p in (2.5 / n, 6.0 / n, 0.3)]
+    for n, p in cases:
+        g = gnp_graph(n, p, rng)
+        ref = nx.Graph()
+        ref.add_nodes_from(range(g.n))
+        ref.add_edges_from(g.edges)
+        expected = len(nx.max_weight_matching(ref, maxcardinality=True))
+        assert maximum_matching(g).mu == expected, (n, p)
