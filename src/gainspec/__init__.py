@@ -71,7 +71,6 @@ from .bounds import (
     check_pendant_lemma,
     check_perfect_matching_lemma,
     check_subgraph_lemma,
-    gap,
     is_extremal_structure,
     run_lemma_suite,
 )

@@ -93,14 +93,20 @@ def analysis_report(phi: GainGraph) -> dict[str, Any]:
     return doc
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _load(path: str) -> GainGraph | None:
+    """The gain graph in ``path``, or None once stderr says why it is unreadable."""
     try:
-        phi = fileio.load_gain_graph(args.file)
+        return fileio.load_gain_graph(path)
     except fileio.GainGraphParseError as exc:
-        print(f"gainspec: {args.file}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        print(f"gainspec: {path}: {exc}", file=sys.stderr)
     except OSError as exc:
         print(f"gainspec: {exc}", file=sys.stderr)
+    return None
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    phi = _load(args.file)
+    if phi is None:
         return EXIT_USAGE
     try:
         doc = analysis_report(phi)
@@ -161,6 +167,8 @@ def _build_instance(kind: str, params: list[str], seed: int, switched: bool,
                     isolated: int) -> GainGraph:
     """The seeded kinds here; every other kind is a named all-ones graph."""
     rng = random.Random(seed)
+    if kind != "extremal-union" and (switched or isolated):
+        raise ValueError("--switched and --isolated apply to extremal-union only")
     if kind == "gnp":
         if len(params) != 2:
             raise ValueError(f"gnp takes 2 parameter(s), got {len(params)}")
@@ -195,13 +203,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_double(args: argparse.Namespace) -> int:
-    try:
-        phi = fileio.load_gain_graph(args.file)
-    except fileio.GainGraphParseError as exc:
-        print(f"gainspec: {args.file}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"gainspec: {exc}", file=sys.stderr)
+    phi = _load(args.file)
+    if phi is None:
         return EXIT_USAGE
     try:
         check = spectra.kronecker_spectrum_check(phi, graphs.complete_graph(2))
@@ -240,6 +243,14 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def graph_order(text: str) -> int:
+    """argparse type for ``--nmax``: the corpora need orders of at least 2."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"expected an order >= 2, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gainspec",
@@ -256,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemmas = sub.add_parser("lemmas", help="run the seeded lemma sweeps")
     p_lemmas.add_argument("--seed", type=int, default=None)
     p_lemmas.add_argument("--trials", type=non_negative_int, default=200)
-    p_lemmas.add_argument("--nmax", type=int, default=10)
+    p_lemmas.add_argument("--nmax", type=graph_order, default=10)
     p_lemmas.add_argument("--format", choices=("json", "text"), default="json")
     p_lemmas.set_defaults(func=_cmd_lemmas)
 

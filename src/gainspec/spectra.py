@@ -155,7 +155,6 @@ class KroneckerCheck:
     """Comparison of product spectra against the factor eigenvalue products."""
 
     product: GainGraph
-    product_order: int
     energy: float                   # of the first factor
     spectrum_deviation: float       # max multiset gap, sorted elementwise
     spectrum_ok: bool
@@ -197,7 +196,6 @@ def kronecker_spectrum_check(phi: GainGraph, h: Graph) -> KroneckerCheck:
 
     return KroneckerCheck(
         product=product,
-        product_order=order,
         energy=first.energy,
         spectrum_deviation=deviation,
         spectrum_ok=deviation <= KRONECKER_TOL,

@@ -7,6 +7,7 @@ sides of an assertion.
 
 from __future__ import annotations
 
+import itertools
 import os
 from pathlib import Path
 
@@ -108,3 +109,31 @@ def petersen() -> Graph:
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
     return Graph.from_edges(10, outer + inner + spokes)
+
+
+def equal_sided_blocks_bruteforce(g: Graph) -> bool:
+    """Every component is one vertex, or some split of it into halves X|Y
+    has edge set exactly X x Y.  Tries every halving; fine for n <= 6."""
+    root = list(range(g.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in g.edges:
+        root[find(u)] = find(v)
+    comps: dict[int, set[int]] = {}
+    for v in range(g.n):
+        comps.setdefault(find(v), set()).add(v)
+    for comp in comps.values():
+        if len(comp) == 1:
+            continue
+        inside = {e for e in g.edges if e[0] in comp}
+        half, odd = divmod(len(comp), 2)
+        if odd or not any(
+            inside == {tuple(sorted((x, y))) for x in xs for y in comp - set(xs)}
+            for xs in itertools.combinations(sorted(comp), half)
+        ):
+            return False
+    return True

@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from gainspec import (
@@ -19,7 +21,6 @@ from gainspec import (
     cycle_graph,
     disjoint_union,
     empty_graph,
-    gap,
     gnp_graph,
     is_extremal_structure,
     path_graph,
@@ -40,11 +41,14 @@ from gainspec.bounds import (
 from gainspec.corpus import extremal_union, part_multisets
 from gainspec.graphs import Graph
 
+from conftest import equal_sided_blocks_bruteforce
+
 
 def test_bound_report_tight_case():
     rep = bound_report(all_ones(complete_bipartite(2, 2)))
     assert rep.energy == pytest.approx(4.0, abs=1e-9)
     assert rep.mu == 2
+    assert rep.gap == pytest.approx(0.0, abs=1e-9)
     assert rep.numerically_tight and rep.structurally_extremal and rep.consistent
 
 
@@ -129,6 +133,35 @@ def test_is_chorded_hexagon():
         6, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 5)]
     )
     assert not is_chorded_hexagon(k23_pendant)
+
+
+def test_is_chorded_hexagon_exhaustive():
+    # every labelled copy of the chorded six-cycle, by vertex permutation
+    copies = {
+        frozenset(tuple(sorted((p[u], p[v]))) for u, v in chorded_six_cycle().edges)
+        for p in itertools.permutations(range(6))
+    }
+    assert len(copies) == 180
+    pairs = list(itertools.combinations(range(6), 2))
+    seven_edge = list(itertools.combinations(pairs, 7))
+    assert len(seven_edge) == 6435
+    for edges in seven_edge:
+        expected = frozenset(edges) in copies
+        assert is_chorded_hexagon(Graph.from_edges(6, edges)) == expected, edges
+
+
+def test_extremal_structure_exhaustive_small():
+    checked = 0
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+            g = Graph.from_edges(n, edges)
+            assert is_extremal_structure(all_ones(g)) == (
+                equal_sided_blocks_bruteforce(g)
+            ), (n, edges)
+            checked += 1
+    assert checked == 1100
 
 
 def test_lemma_report_mechanics():
@@ -327,13 +360,6 @@ def test_run_lemma_suite_smoke_and_determinism():
         )
 
 
-def test_gap_helper():
-    assert gap(all_ones(complete_bipartite(2, 2))) == pytest.approx(0.0, abs=1e-9)
-    assert gap(all_ones(path_graph(4))) == pytest.approx(
-        2 * math.sqrt(5) - 4, abs=1e-9
-    )
-
-
 def test_run_lemma_suite_analyses_each_instance_once(monkeypatch):
     from gainspec import bounds, matching, spectra
 
@@ -357,3 +383,35 @@ def test_run_lemma_suite_analyses_each_instance_once(monkeypatch):
     assert solved and matched
     assert len({id(phi) for phi in solved}) == len(solved)
     assert len({id(g) for g in matched}) == len(matched)
+
+
+def test_derived_instances_are_built_and_solved_once(monkeypatch):
+    from gainspec import bounds
+
+    # an empty cut reuses the solve bound_report already verified
+    rep = bound_report(all_ones(cycle_graph(4)))
+    solves = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        solves.append(a.shape)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    lemma = check_edge_cut_lemma(rep, set())
+    assert solves == [] and lemma.ok and lemma.worst_margin == 0.0
+
+    # a tight split matches each side once; the subgraph gap reuses mu1
+    rep = bound_report(all_ones(complete_bipartite(3, 3)))
+    matched = []
+    real_matching = bounds.maximum_matching
+
+    def counting_matching(g):
+        matched.append(g)
+        return real_matching(g)
+
+    monkeypatch.setattr(bounds, "maximum_matching", counting_matching)
+    lemma = check_subgraph_lemma(rep, {0, 3})
+    assert len(matched) == 2
+    assert lemma.ok and lemma.instances == 1
+    assert lemma.worst_margin == pytest.approx(0.0, abs=1e-9)

@@ -123,6 +123,15 @@ def test_lemmas_rejects_negative_trials(capsys):
     assert captured.out == "" and "--trials" in captured.err
 
 
+@pytest.mark.parametrize("nmax", ["-3", "0", "1"])
+def test_lemmas_rejects_nmax_below_two(capsys, nmax):
+    with pytest.raises(SystemExit) as exc:
+        main(["lemmas", "--nmax", nmax])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--nmax" in captured.err
+
+
 def test_generate_knn_content(capsys):
     code, out, _ = run_cli(capsys, "generate", "knn", "3")
     assert code == 0
@@ -195,6 +204,19 @@ def test_generate_bad_inputs(capsys):
 
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["knn", "2", "--isolated", "3", "--switched"],
+        ["gnp", "5", "0.5", "--switched"],
+        ["c6tilde", "--isolated", "1"],
+    ],
+)
+def test_generate_rejects_extremal_union_flags_elsewhere(capsys, argv):
+    code, out, err = run_cli(capsys, "generate", *argv)
+    assert code == 2 and out == "" and "extremal-union only" in err
 
 
 def test_double_triangle(capsys, tmp_path):
