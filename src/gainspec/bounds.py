@@ -405,6 +405,9 @@ def run_lemma_suite(
 
     reports = {name: LemmaReport(name) for name in LEMMA_ORDER}
     rng_cut, rng_tree, rng_c6, rng_split, rng_bal = (sub_rng() for _ in range(5))
+    # each extremal report comes up about trials / (2 * len(extremal)) times
+    # and can draw the same split again: judge each distinct pair once
+    splits: dict[tuple[int, tuple[int, ...]], LemmaReport] = {}
 
     # len(base) == trials: base instance k is step k of every base sweep.
     for k, phi in enumerate(base):
@@ -418,10 +421,13 @@ def run_lemma_suite(
         check_perfect_matching_lemma([stripped(rep)], reports[PERFECT_MATCHING])
         check_nonbipartite_lemma([rep], reports[NONBIPARTITE])
         if extremal and k % 2 == 0:
-            ext = extremal[(k // 2) % len(extremal)]
-            subsets = corpus.component_subsets(ext.phi.graph, rng_split)
+            j = (k // 2) % len(extremal)
+            subsets = corpus.component_subsets(extremal[j].phi.graph, rng_split)
             for vs in subsets:
-                check_subgraph_lemma(ext, vs, reports[SUBGRAPH])
+                key = (j, tuple(sorted(vs)))  # several times smaller than vs
+                if key not in splits:
+                    splits[key] = check_subgraph_lemma(extremal[j], vs)
+                reports[SUBGRAPH].merge(splits[key])
             if not subsets:
                 reports[SUBGRAPH].skip("single component, no proper split")
         else:

@@ -1,8 +1,9 @@
-"""Shared brute-force oracles, kept independent of the package internals.
+"""Shared brute-force oracles, kept independent of the package internals,
+and the fixture that puts ``spectrum`` on its per-component path.
 
-Everything here recomputes from first principles (fresh adjacency matrices,
-exhaustive enumeration) so the package's own routines are never on both
-sides of an assertion.
+Every oracle here recomputes from first principles (fresh adjacency
+matrices, exhaustive enumeration) so the package's own routines are never on
+both sides of an assertion.
 """
 
 from __future__ import annotations
@@ -12,14 +13,21 @@ import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from gainspec import GainGraph, Graph
+from gainspec import GainGraph, Graph, spectra
 
 # pytest puts src/ on sys.path (pyproject.toml); CLI subprocesses need it too.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
 )
+
+
+@pytest.fixture
+def structured_spectrum(monkeypatch):
+    """Solve every spectrum component by component, whatever the order."""
+    monkeypatch.setattr(spectra, "STRUCTURED_MIN_ORDER", 0)
 
 
 def adjacency_oracle(phi: GainGraph) -> np.ndarray:

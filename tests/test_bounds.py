@@ -33,6 +33,8 @@ from gainspec import (
     unit_from_angle,
 )
 from gainspec.bounds import (
+    LEMMA_ORDER,
+    SUBGRAPH,
     LemmaReport,
     edge_set_is_star,
     is_chorded_hexagon,
@@ -415,3 +417,58 @@ def test_derived_instances_are_built_and_solved_once(monkeypatch):
     assert len(matched) == 2
     assert lemma.ok and lemma.instances == 1
     assert lemma.worst_margin == pytest.approx(0.0, abs=1e-9)
+
+
+def test_lemma_suite_agrees_on_both_spectrum_paths(monkeypatch):
+    from gainspec import spectra
+
+    dense = run_lemma_suite(seed=1, trials=40, nmax=6)
+    monkeypatch.setattr(spectra, "STRUCTURED_MIN_ORDER", 0)
+    structured = run_lemma_suite(seed=1, trials=40, nmax=6)
+    for a, b in zip(dense, structured, strict=True):
+        assert (a.lemma, a.instances, a.skip_reasons) == (
+            b.lemma,
+            b.instances,
+            b.skip_reasons,
+        )
+        assert b.ok and b.worst_margin == pytest.approx(a.worst_margin, abs=1e-9)
+
+
+def test_subgraph_lemma_judges_each_split_once(monkeypatch):
+    from gainspec import bounds
+
+    # keep every report alive so that no id is reused
+    pairs, solved, matched = [], [], []
+    current = []
+    real_check, real_energy = bounds.check_subgraph_lemma, bounds.energy
+    real_matching = bounds.maximum_matching
+
+    def counting_check(rep, vs, report=None):
+        current.append((rep, frozenset(vs)))
+        pairs.append(current[-1])
+        try:
+            return real_check(rep, vs, report)
+        finally:
+            current.pop()
+
+    def counting_energy(phi):
+        solved.extend(current)
+        return real_energy(phi)
+
+    def counting_matching(g):
+        matched.extend(current)
+        return real_matching(g)
+
+    monkeypatch.setattr(bounds, "check_subgraph_lemma", counting_check)
+    monkeypatch.setattr(bounds, "energy", counting_energy)
+    monkeypatch.setattr(bounds, "maximum_matching", counting_matching)
+    reports = run_lemma_suite(seed=1, trials=40, nmax=6)
+    keys = [(id(rep), vs) for rep, vs in pairs]
+    assert len(set(keys)) == len(keys)
+    assert len(matched) == 2 * len(keys)
+    solved_keys = [(id(rep), vs) for rep, vs in solved]
+    assert solved and len(set(solved_keys)) == len(solved_keys)
+    # every visit still counts: the totals judging each visit gave
+    subgraph = reports[LEMMA_ORDER.index(SUBGRAPH)]
+    assert len(keys) < subgraph.instances + subgraph.skips
+    assert (subgraph.instances, subgraph.skips) == (39, 1)

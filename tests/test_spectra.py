@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import adjacency_oracle, energy_oracle
 from gainspec import (
+    Graph,
     adjacency,
     all_ones,
     char_poly,
@@ -15,13 +16,16 @@ from gainspec import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     eigenvalues,
     empty_graph,
     energy,
     four_cycle_energy,
     four_cycle_gain_graph,
     gnp_graph,
+    induced_gain_subgraph,
     kronecker_spectrum_check,
+    maximum_matching,
     path_graph,
     random_gain_graph,
     random_switching,
@@ -30,6 +34,7 @@ from gainspec import (
     switch,
     unit_from_angle,
 )
+from gainspec.corpus import extremal_union, random_tree
 
 # frozen by the numeric oracle: energy of the all-ones chorded six-cycle
 CHORDED_HEXAGON_ENERGY = 7.656854249492381
@@ -223,3 +228,127 @@ def test_adjacency_agrees_with_oracle_builder():
     for _ in range(10):
         phi = random_gain_graph(gnp_graph(rng.randrange(1, 9), 0.7, rng), rng)
         assert np.array_equal(adjacency(phi), adjacency_oracle(phi))
+
+
+def test_edgeless_graph_costs_no_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an edgeless spectrum reached LAPACK")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_solve)
+    monkeypatch.setattr(np.linalg, "svd", no_solve)
+    for n in (5, 40):
+        spec = spectrum(all_ones(empty_graph(n)))
+        assert np.array_equal(spec.eigenvalues, np.zeros(n)) and spec.energy == 0.0
+        assert not np.signbit(spec.eigenvalues).any()
+
+
+# ---------------------------------------------------------------------------
+# The per-component path against the dense oracle eigenvalues(adjacency(phi)).
+# ---------------------------------------------------------------------------
+
+
+def _assert_matches_dense(phi):
+    n = phi.graph.n
+    spec, dense = spectrum(phi), eigenvalues(adjacency(phi))
+    assert np.all(np.diff(spec.eigenvalues) <= 0.0)
+    assert np.max(np.abs(spec.eigenvalues - dense.eigenvalues), initial=0.0) <= 1e-9 * n
+    assert abs(spec.energy - dense.energy) <= 1e-9 * max(n, 1)
+
+
+@pytest.mark.usefixtures("structured_spectrum")
+def test_structured_path_matches_dense_on_forests():
+    rng = random.Random(31)
+    for n in (1, 2, 3, 8, 25, 60, 120, 200):
+        tree = random_tree(n, rng)
+        forest = Graph.from_edges(n, (e for e in tree.edges if rng.random() < 0.8))
+        _assert_matches_dense(random_gain_graph(forest, rng))
+
+
+@pytest.mark.usefixtures("structured_spectrum")
+@pytest.mark.parametrize("s, t", [(1, 1), (1, 6), (2, 3), (3, 2), (5, 12), (70, 30)])
+def test_structured_path_matches_dense_on_complete_bipartite(s, t):
+    # s != t leaves |s - t| kernel vectors on the larger side
+    _assert_matches_dense(random_gain_graph(complete_bipartite(s, t), s * 100 + t))
+
+
+@pytest.mark.usefixtures("structured_spectrum")
+def test_structured_path_matches_dense_on_switched_extremal_unions():
+    rng = random.Random(37)
+    for parts, isolated in (([1], 0), ([3, 1], 2), ([5, 3, 3, 1], 4), ([40, 25], 7)):
+        phi = extremal_union(parts, isolated=isolated, switch_seed=rng)
+        _assert_matches_dense(phi)
+        assert spectrum(phi).energy == pytest.approx(2.0 * sum(parts), abs=1e-9)
+
+
+@pytest.mark.usefixtures("structured_spectrum")
+def test_structured_path_matches_dense_on_mixed_graphs():
+    rng = random.Random(41)
+    mixed = disjoint_union(
+        disjoint_union(cycle_graph(7), complete_bipartite(4, 6)),
+        disjoint_union(complete_graph(5), empty_graph(3)),
+    )
+    graphs = [mixed, complete_graph(25), cycle_graph(9), chorded_six_cycle()]
+    graphs += [gnp_graph(n, p, rng) for n, p in
+               ((30, 0.05), (80, 0.03), (150, 0.015), (200, 0.01), (200, 0.05))]
+    for g in graphs:
+        _assert_matches_dense(random_gain_graph(g, rng))
+
+
+_sizes = st.integers(0, 100)
+_density = st.sampled_from((0.0, 0.01, 0.03, 0.1))
+
+
+@given(_sizes, _sizes, _density, st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=25)
+def test_energy_and_mu_are_additive_over_components(n1, n2, p, seed):
+    rng = random.Random(seed)
+    g = disjoint_union(gnp_graph(n1, p, rng), gnp_graph(n2, p, rng))
+    phi = random_gain_graph(g, rng)
+    left = induced_gain_subgraph(phi, range(n1))
+    right = induced_gain_subgraph(phi, range(n1, g.n))
+    assert energy(phi) == pytest.approx(
+        energy(left) + energy(right), abs=1e-9 * max(g.n, 1)
+    )
+    mu = maximum_matching(g).mu
+    assert mu == maximum_matching(left.graph).mu + maximum_matching(right.graph).mu
+
+
+@given(st.integers(1, 200), _density, st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=25)
+def test_spectrum_is_switching_invariant_up_to_order_200(n, p, seed):
+    rng = random.Random(seed)
+    phi = random_gain_graph(gnp_graph(n, p, rng), rng)
+    switched = switch(phi, random_switching(n, rng))
+    a, b = spectrum(phi).eigenvalues, spectrum(switched).eigenvalues
+    assert np.max(np.abs(a - b), initial=0.0) <= 1e-9 * n
+
+
+@pytest.mark.usefixtures("structured_spectrum")
+def test_svd_residual_guard_fires_on_perturbed_vectors(monkeypatch):
+    real_svd = np.linalg.svd
+
+    def perturbed(b, *args, **kwargs):
+        u, s, vh = real_svd(b, *args, **kwargs)
+        return u, s, vh + 1e-6
+
+    monkeypatch.setattr(np.linalg, "svd", perturbed)
+    with pytest.raises(RuntimeError, match="singular value residual"):
+        spectrum(random_gain_graph(complete_bipartite(3, 4), 43))
+
+
+@pytest.mark.usefixtures("structured_spectrum")
+def test_svd_residual_guard_checks_kernel_vectors(monkeypatch):
+    real_svd = np.linalg.svd
+    shapes = []
+
+    def wrong_kernel(b, *args, **kwargs):
+        u, s, vh = real_svd(b, *args, **kwargs)
+        shapes.append(b.shape)
+        vh = vh.copy()
+        vh[2] = vh[0]  # a unit vector, but not in the kernel of B
+        return u, s, vh
+
+    monkeypatch.setattr(np.linalg, "svd", wrong_kernel)
+    with pytest.raises(RuntimeError, match="singular value residual"):
+        spectrum(random_gain_graph(complete_bipartite(2, 3), 47))
+    assert shapes == [(2, 3)]
