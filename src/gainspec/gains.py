@@ -19,8 +19,11 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .graphs import Edge, Graph
 from . import graphs
@@ -65,9 +68,32 @@ class GainGraph:
             if abs(abs(z) - 1.0) > 1e-12:
                 raise ValueError(f"gain on {e} has modulus {abs(z)!r}, not 1")
 
+    @classmethod
+    def _trusted(
+        cls, graph: Graph, forward: dict[Edge, complex], gains: np.ndarray | None = None
+    ) -> "GainGraph":
+        """A gain graph over a fresh dict that no one else holds, whose keys
+        are exactly ``graph.edges`` and whose values were already checked to
+        be unit gains; ``gains``, if given, becomes ``_gain_array``."""
+        phi = object.__new__(cls)
+        object.__setattr__(phi, "graph", graph)
+        object.__setattr__(phi, "forward", MappingProxyType(forward))
+        if gains is not None:
+            phi.__dict__["_gain_array"] = gains
+        return phi
+
     def __reduce__(self):
         # A mapping proxy does not pickle; rebuild from a plain dict instead.
         return (GainGraph, (self.graph, dict(self.forward)))
+
+    @cached_property
+    def _gain_array(self) -> np.ndarray:
+        """Read-only forward gains aligned with ``graph._edge_array``."""
+        us, vs = self.graph._edge_array
+        keys = zip(us.tolist(), vs.tolist())
+        gains = np.fromiter(map(self.forward.__getitem__, keys), complex, len(us))
+        gains.flags.writeable = False
+        return gains
 
     def gain(self, u: int, v: int) -> complex:
         """Gain of the ordered edge (u, v); the reverse orientation conjugates."""
@@ -204,21 +230,50 @@ def is_balanced(phi: GainGraph) -> BalanceCertificate:
             zeta[w] = zeta[u] * phi.gain(w, u)
 
     # Non-tree edges in ascending (u, v) order, so the witness is deterministic.
-    for u in range(g.n):
-        for v in g.neighbors(u):
-            if v < u or parent[v] == u or parent[u] == v:
-                continue
+    if g.m < graphs.ARRAY_MIN_EDGES:
+        for u in range(g.n):
+            for v in g.neighbors(u):
+                if v < u or parent[v] == u or parent[u] == v:
+                    continue
+                switched = zeta[u].conjugate() * phi.gain(u, v) * zeta[v]
+                if abs(switched - 1.0) > BALANCE_TOL:
+                    return _unbalanced(phi, parent, u, v)
+    else:
+        for u, v in _suspect_edges(phi, parent, zeta):
             switched = zeta[u].conjugate() * phi.gain(u, v) * zeta[v]
             if abs(switched - 1.0) > BALANCE_TOL:
-                cyc = _fundamental_cycle(parent, u, v)
-                return BalanceCertificate(
-                    balanced=False,
-                    violating_cycle=cyc,
-                    violation_gain=cycle_gain(phi, cyc),
-                )
+                return _unbalanced(phi, parent, u, v)
     return BalanceCertificate(
         balanced=True, witness=SwitchingFunction(tuple(zeta))
     )
+
+
+def _unbalanced(
+    phi: GainGraph, parent: Sequence[int], u: int, v: int
+) -> BalanceCertificate:
+    """The certificate for the failing non-tree edge (u, v)."""
+    cyc = _fundamental_cycle(parent, u, v)
+    return BalanceCertificate(
+        balanced=False, violating_cycle=cyc, violation_gain=cycle_gain(phi, cyc)
+    )
+
+
+def _suspect_edges(
+    phi: GainGraph, parent: Sequence[int], zeta: Sequence[complex]
+) -> Iterator[Edge]:
+    """Non-tree edges, ascending, whose switched gain computed on the arrays
+    misses 1 by more than BALANCE_TOL / 2.  Array and scalar arithmetic may
+    round differently in the last bits, so this only screens: the caller
+    decides each suspect with the scalar test, and an edge that fails it
+    misses 1 by far more than the rounding on the arrays."""
+    us, vs = phi.graph._edge_array
+    par = np.fromiter(parent, np.intp, len(parent))
+    z = np.fromiter(zeta, complex, len(zeta))
+    switched = z[us].conj() * phi._gain_array * z[vs]
+    suspect = np.abs(switched - 1.0) > BALANCE_TOL / 2
+    suspect &= (par[vs] != us) & (par[us] != vs)
+    hits = np.flatnonzero(suspect)
+    return zip(map(int, us[hits]), map(int, vs[hits]))
 
 
 def _fundamental_cycle(parent: Sequence[int], u: int, v: int) -> tuple[int, ...]:
@@ -248,7 +303,7 @@ def kronecker(phi: GainGraph, h: Graph) -> GainGraph:
     kg = graphs.kronecker_graph(phi.graph, h)
     m = h.n
     store = {(i, j): phi.forward[(i // m, j // m)] for i, j in kg.edges}
-    return GainGraph(kg, store)
+    return GainGraph._trusted(kg, store)
 
 
 def bipartite_double(phi: GainGraph) -> GainGraph:
@@ -269,7 +324,7 @@ def random_gain_graph(g: Graph, seed: int | random.Random) -> GainGraph:
 def delete_gain_edges(phi: GainGraph, cut: Iterable[tuple[int, int]]) -> GainGraph:
     """Remove edges (keeping all vertices); surviving gains are unchanged."""
     g2 = graphs.delete_edges(phi.graph, cut)
-    return GainGraph(g2, {e: phi.forward[e] for e in g2.edges})
+    return GainGraph._trusted(g2, {e: phi.forward[e] for e in g2.edges})
 
 
 def induced_gain_subgraph(phi: GainGraph, vs: Iterable[int]) -> GainGraph:
@@ -281,7 +336,7 @@ def induced_gain_subgraph(phi: GainGraph, vs: Iterable[int]) -> GainGraph:
         for (u, v), z in phi.forward.items()
         if u in relabel and v in relabel
     }
-    return GainGraph(g2, store)
+    return GainGraph._trusted(g2, store)
 
 
 def gain_angle(z: complex) -> float:

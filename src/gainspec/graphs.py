@@ -12,9 +12,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable
 
+import numpy as np
+
 Edge = tuple[int, int]
+EdgeArrays = tuple[np.ndarray, np.ndarray]
+
+# From this edge count on, the O(m) passes over a graph (adjacency lists, the
+# odd-edge test, the balance scan) run on the cached endpoint arrays; below
+# it a Python loop is cheaper than the array set-up.  Every graph on at most
+# 16 vertices (at most 120 edges) stays on the loops.
+ARRAY_MIN_EDGES = 256
 
 
 def _normalize_edge(u: int, v: int) -> Edge:
@@ -44,13 +54,43 @@ class Graph:
         """Build a graph, normalizing each pair to (min, max). Duplicates collapse."""
         return cls(n, frozenset(_normalize_edge(u, v) for u, v in edges))
 
+    @classmethod
+    def _trusted(cls, n: int, edges: frozenset[Edge], ends: EdgeArrays) -> "Graph":
+        """A graph whose producer has already made every check of
+        ``__post_init__`` on these values; ``ends`` becomes ``_edge_array``."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        g.__dict__["_edge_array"] = ends
+        return g
+
+    @cached_property
+    def _edge_array(self) -> EdgeArrays:
+        """Read-only endpoint arrays (us, vs) in ascending (u, v) order."""
+        ends = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * self.m)
+        us, vs = ends[0::2], ends[1::2]
+        # Any graph whose n-length lists fit in memory has n * n < 2**63.
+        order = np.argsort(us * self.n + vs)
+        return _read_only(us[order]), _read_only(vs[order])
+
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        if self.m < ARRAY_MIN_EDGES:
+            nbrs: list[list[int]] = [[] for _ in range(self.n)]
+            for u, v in self.edges:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            return tuple(tuple(sorted(a)) for a in nbrs)
+        # CSR by one stable sort on the source vertex.  The reversed copies
+        # come first, so each list holds its lower neighbours before its
+        # higher ones, and both runs are ascending because the edges are.
+        us, vs = self._edge_array
+        src = np.concatenate((vs, us))
+        dst = np.concatenate((us, vs))[np.argsort(src, kind="stable")].tolist()
+        stops = np.cumsum(np.bincount(src, minlength=self.n)).tolist()
+        return tuple(
+            tuple(dst[a:b]) for a, b in zip(chain((0,), stops), stops)
+        )
 
     @cached_property
     def _forest(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -90,10 +130,17 @@ class Graph:
                 side[v] = side[parent[v]] ^ 1
             comp_of[v] = len(comps) - 1
             comps[-1].append(v)
-        exists = [True] * len(comps)
-        for u, v in self.edges:
-            if side[u] == side[v]:
-                exists[comp_of[u]] = False
+        if self.m < ARRAY_MIN_EDGES:
+            exists = [True] * len(comps)
+            for u, v in self.edges:
+                if side[u] == side[v]:
+                    exists[comp_of[u]] = False
+        else:
+            us, vs = self._edge_array
+            sides = np.array(side, dtype=np.intp)
+            odd = np.zeros(len(comps), dtype=bool)
+            odd[np.array(comp_of, dtype=np.intp)[us[sides[us] == sides[vs]]]] = True
+            exists = (~odd).tolist()
         return Bipartition(
             tuple(tuple(sorted(c)) for c in comps), tuple(exists), tuple(side)
         )
@@ -110,6 +157,11 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ Tolerance ladder (each layer absorbs the noise of the one below):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -125,8 +124,8 @@ def _singular_values(b: np.ndarray) -> np.ndarray:
 def _component_eigenvalues(phi: GainGraph) -> np.ndarray:
     """Eigenvalues of A, unsorted, solved one component at a time.
 
-    Each block is built from ``phi.forward`` directly, never the n x n
-    matrix: a bipartite component as its side-0 x side-1 biadjacency block,
+    Each block is built from the cached edge and gain arrays directly,
+    never the n x n matrix: a bipartite component as its side-0 x side-1 biadjacency block,
     any other as its own Hermitian block.  Isolated vertices and the
     |p - q| kernel of a bipartite block are exact zeros.
     """
@@ -145,9 +144,8 @@ def _component_eigenvalues(phi: GainGraph) -> np.ndarray:
             comp_of[v], pos[v] = k, counts[half]
             counts[half] += 1
         shapes.append(counts)
-    ends = np.fromiter(chain.from_iterable(phi.forward), np.intp, 2 * g.m)
-    us, vs = ends[0::2], ends[1::2]
-    z = np.fromiter(phi.forward.values(), complex, g.m)
+    us, vs = g._edge_array
+    z = phi._gain_array
     comp_arr, pos_arr = np.array(comp_of), np.array(pos)
     # orient every edge from side 0 to side 1 (A[v, u] = conj(A[u, v])); a
     # non-bipartite block sets both entries, so orientation is immaterial there

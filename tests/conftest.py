@@ -1,5 +1,6 @@
 """Shared brute-force oracles, kept independent of the package internals,
-and the fixture that puts ``spectrum`` on its per-component path.
+the fixture that puts ``spectrum`` on its per-component path, and the one
+that puts the O(m) graph passes on their array path.
 
 Every oracle here recomputes from first principles (fresh adjacency
 matrices, exhaustive enumeration) so the package's own routines are never on
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gainspec import GainGraph, Graph, spectra
+from gainspec import GainGraph, Graph, graphs, spectra
 
 # pytest puts src/ on sys.path (pyproject.toml); CLI subprocesses need it too.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -28,6 +29,13 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 def structured_spectrum(monkeypatch):
     """Solve every spectrum component by component, whatever the order."""
     monkeypatch.setattr(spectra, "STRUCTURED_MIN_ORDER", 0)
+
+
+@pytest.fixture
+def array_passes(monkeypatch):
+    """Run adjacency, the odd-edge test and the balance scan on the edge
+    arrays, whatever the edge count."""
+    monkeypatch.setattr(graphs, "ARRAY_MIN_EDGES", 0)
 
 
 def adjacency_oracle(phi: GainGraph) -> np.ndarray:

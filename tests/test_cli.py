@@ -311,3 +311,12 @@ def test_analyze_refuses_order_above_dense_limit(capsys, monkeypatch, tmp_path):
     src.write_text("ugg 9\n0 1 0\n")
     code, out, err = run_cli(capsys, "analyze", str(src))
     assert code == 2 and out == "" and "limit" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "double"])
+def test_invalid_utf8_is_a_parse_error(capsys, tmp_path, command):
+    path = tmp_path / "latin1.ugg"
+    path.write_bytes(b"# caf\xc3\xa9\nugg 3\n0 1 0.5\n1 2 0.\xff25\n")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err == f"gainspec: {path}: line 4: invalid UTF-8 byte 0xff\n"

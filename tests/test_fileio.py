@@ -88,3 +88,152 @@ def test_parse_errors_carry_line_numbers(text, bad_line):
         parse_gain_graph(text)
     assert err.value.line == bad_line
     assert f"line {bad_line}" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# The array path against the line loop.  ``_parse_lines`` is the general
+# parser and the reference: ``parse_gain_graph`` must raise what it raises
+# and return what it returns, on every input.
+# ---------------------------------------------------------------------------
+
+import struct
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gainspec import fileio, gains
+
+# Every case of test_parse_errors_carry_line_numbers.
+ERROR_CASES = [
+    "0 1 0.5",
+    "ugg\n",
+    "ugg x\n",
+    "ugg -1\n",
+    "ugg 3\n0 0 1.0\n",
+    "ugg 3\n1 0 1.0\n",
+    "ugg 3\n0 3 1.0\n",
+    "ugg 3\n0 1 1.0\n0 1 2.0\n",
+    "ugg 3\n0 1 nope\n",
+    "ugg 3\n0 1 inf\n",
+    "ugg 3\n0 1\n",
+    "",
+]
+
+# Inputs outside the canonical layout, or failing one of its checks: each
+# has a valid edge line before the trigger, so the line loop that takes
+# them over builds at least one gain.
+FALLBACK_CASES = [
+    "ugg 2000\n0 1 0.5\n1_000 1001 0.25\n",       # underscore in an endpoint
+    "ugg 9\n0 1 0.5\n+3 4 0.25\n",                 # signed endpoint
+    "ugg 200\n0 1 0.5\n1e2 101 0.25\n",            # exponent endpoint
+    "ugg 9\n0 1 0.5\n1.0 2 0.25\n",                # decimal endpoint
+    "ugg 9\n0 1 0.5\n1 2 nan\n",                   # nan angle
+    "ugg 9\n0 1 0.5\n1 2 1e999\n",                 # angle overflows to inf
+    "ugg 9\n0 1 0.5\n1\t2 0.25\n",                 # tab
+    "ugg 9\r\n0 1 0.5\r\n1 2 0.25\r\n",            # CRLF
+    "ugg 9\n0 1 0.5\n\n1 2 0.25\n",                # blank line in the body
+    "ugg 9\n0 1 0.5\n# note\n1 2 0.25\n",          # comment in the body
+    "ugg 9\n0 1 0.5\n1 2 0.25",                    # no final newline
+    "ugg 9\n0 1 0.5\n١ 2 0.25\n",             # non-ASCII digit
+    "ugg 9\n0 1 0.5\n1  2 0.25\n",                 # double space
+    "ugg 9\n0 1 0.5\n 1 2 0.25\n",                 # leading space
+    "ugg 9\n0 1 0.5\n1 2 0.25 \n",                 # trailing space
+    "ugg 9\n1 2 0.5\n0 1 0.25\n",                  # edges out of order
+    "ugg 9\n0 1 0.5\n0 1 0.25\n",                  # duplicate
+    "ugg 9\n0 1 0.5\n2 2 0.25\n",                  # self-loop
+    "ugg 9\n0 1 0.5\n2 1 0.25\n",                  # reversed edge
+    "ugg 9\n0 1 0.5\n1 9 0.25\n",                  # endpoint out of range
+    "ugg 9\n0 1 0.5\n1 2 .\n",                     # not a number
+    "ugg 9\n0 1 0.5\n1 2 1e\n",                    # truncated exponent
+    "ugg 9\n0 1 0.5\n1 2\n",                       # short line
+    "ugg 9\n0 1 0.5\n1 2 0.25 7\n",                # long line
+    "ugg 9\n0 1 0.5\n0001234567890123456 2 0.25\n",  # endpoint of 19 digits
+    "ugg 9\n0 1 0.5\n1 2 0." + "0" * 40 + "1\n",   # angle of 43 characters
+    "# a\x0cugg 9\n0 1 0.5\n1 2 0.25\n",          # form feed breaks a comment
+    "ugg 09 \n0 1 0.5\n",                          # trailing space in the header
+    "\nugg 9\n0 1 0.5\n",                          # blank line before the header
+]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except fileio.GainGraphParseError as exc:
+        return exc
+
+
+def assert_same_parse(text):
+    want = _outcome(fileio._parse_lines, text)
+    got = _outcome(parse_gain_graph, text)
+    if isinstance(want, Exception):
+        assert isinstance(got, fileio.GainGraphParseError)
+        assert (got.line, str(got)) == (want.line, str(want))
+        return
+    assert got.graph == want.graph
+    assert list(got.forward) == list(want.forward)
+    for (e, z), w in zip(got.forward.items(), want.forward.values()):
+        assert type(e[0]) is int and type(e[1]) is int and type(z) is complex
+        assert struct.pack("2d", z.real, z.imag) == struct.pack("2d", w.real, w.imag)
+
+
+@pytest.mark.parametrize("text", ERROR_CASES + FALLBACK_CASES)
+def test_array_path_agrees_with_line_loop(text):
+    assert_same_parse(text)
+
+
+@pytest.mark.parametrize("text", FALLBACK_CASES)
+def test_fallback_inputs_take_the_line_loop(text, monkeypatch):
+    calls = _count_unit_from_angle(monkeypatch)
+    _outcome(parse_gain_graph, text)
+    assert calls
+    assert fileio._parse_canonical(text) is None
+
+
+def _count_unit_from_angle(monkeypatch):
+    calls = []
+    real = gains.unit_from_angle
+
+    def counted(theta):
+        calls.append(theta)
+        return real(theta)
+
+    monkeypatch.setattr(gains, "unit_from_angle", counted)
+    monkeypatch.setattr(fileio, "unit_from_angle", counted)
+    return calls
+
+
+@pytest.mark.parametrize("comment", [None, "generated\nfor the guard"])
+def test_canonical_files_take_the_array_path(comment, monkeypatch):
+    phi = random_gain_graph(gnp_graph(90, 0.5, random.Random(4)), 4)
+    assert 1900 <= phi.graph.m <= 2100
+    text = serialize_gain_graph(phi, comment)
+    calls = _count_unit_from_angle(monkeypatch)
+    back = parse_gain_graph(text)
+    assert calls == []
+    assert back.graph == phi.graph
+    monkeypatch.undo()
+    assert_same_parse(text)
+
+
+_ANGLE_FORMATS = [repr, "{:.17g}".format, "{:.3e}".format, "{:.20e}".format, "{:+.6f}".format]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    data=st.data(),
+)
+def test_array_path_matches_line_loop_on_valid_files(n, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = sorted(data.draw(st.sets(st.sampled_from(pairs), max_size=120))) if pairs else []
+    angle = st.floats(-1e6, 1e6, allow_nan=False) | st.floats(-1e-300, 1e-300)
+    lines = [
+        f"{u} {v} {data.draw(st.sampled_from(_ANGLE_FORMATS))(data.draw(angle))}"
+        for u, v in chosen
+    ]
+    comments = data.draw(st.lists(st.sampled_from(["#", "# c", "#x y"]), max_size=2))
+    text = "".join(c + "\n" for c in comments) + f"ugg {n}\n" + "".join(
+        ln + "\n" for ln in lines
+    )
+    assert fileio._parse_canonical(text) is not None
+    assert_same_parse(text)
