@@ -20,19 +20,14 @@ from .graphs import Graph
 DEFAULT_EDGE_PROBS = (0.3, 0.5, 0.8)
 
 
-def random_gain_corpus(
-    seed: int,
-    count: int,
-    nmax: int,
-    ps: Sequence[float] = DEFAULT_EDGE_PROBS,
-) -> list[GainGraph]:
+def random_gain_corpus(seed: int, count: int, nmax: int) -> list[GainGraph]:
     """``count`` random gain graphs on 2..nmax vertices, deterministic in seed."""
     rng = random.Random(seed)
     sizes = list(range(2, max(nmax, 2) + 1))
     corpus = []
     for k in range(count):
         n = sizes[k % len(sizes)]
-        p = ps[(k // len(sizes)) % len(ps)]
+        p = DEFAULT_EDGE_PROBS[(k // len(sizes)) % len(DEFAULT_EDGE_PROBS)]
         g = graphs.gnp_graph(n, p, rng)
         corpus.append(gains.random_gain_graph(g, rng))
     return corpus
@@ -47,13 +42,18 @@ def random_tree(n: int, rng: random.Random) -> Graph:
 
 def ktt_union_graph(parts: Sequence[int], isolated: int = 0) -> Graph:
     """Disjoint union of complete bipartite blocks with sides parts[j],
-    plus ``isolated`` extra vertices."""
-    g = graphs.empty_graph(0)
+    plus ``isolated`` extra vertices, numbered as chained ``disjoint_union``
+    calls number them."""
+    edges: list[tuple[int, int]] = []
+    n = 0
     for t in parts:
         if t < 1:
             raise ValueError("block sides must be positive")
-        g = graphs.disjoint_union(g, graphs.complete_bipartite(t, t))
-    return graphs.disjoint_union(g, graphs.empty_graph(isolated))
+        edges.extend((n + i, n + t + j) for i in range(t) for j in range(t))
+        n += 2 * t
+    if isolated < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {isolated}")
+    return Graph(n + isolated, frozenset(edges))
 
 
 def extremal_union(

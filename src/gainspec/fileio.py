@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .gains import GainGraph, gain_angle, unit_from_angle
+from .gains import UNIT_TOL, GainGraph, gain_angle, unit_from_angle
 from .graphs import Graph
 
 # Longest endpoint (or vertex count) the array path reads: 15 digits keep
@@ -109,7 +109,7 @@ def _parse_canonical(text: str) -> GainGraph | None:
         return None
     gains = np.empty(m, dtype=complex)
     gains.real, gains.imag = np.cos(theta), np.sin(theta)
-    if (np.abs(np.abs(gains) - 1.0) > 1e-12).any():
+    if (np.abs(np.abs(gains) - 1.0) > UNIT_TOL).any():
         return None
     for a in (us, vs, gains):
         a.flags.writeable = False

@@ -29,14 +29,15 @@ from .graphs import Edge, Graph
 from . import graphs
 
 UNIT_INPUT_TOL = 1e-6   # how far from |z| = 1 an input may be before we refuse
+UNIT_TOL = 1e-12        # how far from |z| = 1 a stored gain or switching value may be
 BALANCE_TOL = 1e-9      # |gain - 1| threshold for balance decisions
 
 
-def unit(z: complex, tol: float = UNIT_INPUT_TOL) -> complex:
+def unit(z: complex) -> complex:
     """Renormalize ``z`` to exact unit modulus; reject inputs far from the circle."""
     z = complex(z)
     r = abs(z)
-    if abs(r - 1.0) > tol:
+    if abs(r - 1.0) > UNIT_INPUT_TOL:
         raise ValueError(f"gain must have modulus 1, got |z| = {r}")
     return z / r
 
@@ -65,7 +66,7 @@ class GainGraph:
                 f"(missing {sorted(missing)}, extra {sorted(extra)})"
             )
         for e, z in self.forward.items():
-            if abs(abs(z) - 1.0) > 1e-12:
+            if abs(abs(z) - 1.0) > UNIT_TOL:
                 raise ValueError(f"gain on {e} has modulus {abs(z)!r}, not 1")
 
     @classmethod
@@ -162,7 +163,7 @@ class SwitchingFunction:
 
     def __post_init__(self) -> None:
         for z in self.values:
-            if abs(abs(z) - 1.0) > 1e-12:
+            if abs(abs(z) - 1.0) > UNIT_TOL:
                 raise ValueError("switching values must have unit modulus")
 
     def __call__(self, v: int) -> complex:
@@ -222,7 +223,7 @@ def is_balanced(phi: GainGraph) -> BalanceCertificate:
     tree path between its endpoints.
     """
     g = phi.graph
-    order, parent = g._forest
+    order, parent = g._forest[:2]
     zeta: list[complex] = [1.0 + 0.0j] * g.n
     for w in order:
         u = parent[w]
@@ -230,7 +231,7 @@ def is_balanced(phi: GainGraph) -> BalanceCertificate:
             zeta[w] = zeta[u] * phi.gain(w, u)
 
     # Non-tree edges in ascending (u, v) order, so the witness is deterministic.
-    if g.m < graphs.ARRAY_MIN_EDGES:
+    if g.n < graphs.ARRAY_MIN_ORDER:
         for u in range(g.n):
             for v in g.neighbors(u):
                 if v < u or parent[v] == u or parent[u] == v:

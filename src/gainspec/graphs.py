@@ -20,11 +20,14 @@ import numpy as np
 Edge = tuple[int, int]
 EdgeArrays = tuple[np.ndarray, np.ndarray]
 
-# From this edge count on, the O(m) passes over a graph (adjacency lists, the
-# odd-edge test, the balance scan) run on the cached endpoint arrays; below
-# it a Python loop is cheaper than the array set-up.  Every graph on at most
-# 16 vertices (at most 120 edges) stays on the loops.
-ARRAY_MIN_EDGES = 256
+# The one size switch.  From this order on, adjacency lists and the balance
+# scan run on the cached endpoint arrays and ``spectra.spectrum`` solves one
+# component at a time; below it Python loops and one dense solve are cheaper.
+# Measured, one BLAS thread, adjacency + BFS + balance + spectrum of a fresh
+# balanced gain graph, loops -> arrays: G(16, .8) 219 -> 391 us, G(32, .8)
+# 896 -> 601 us, K_{32,32} 2826 -> 1501 us; forests break even near n = 64.
+# Every lemma-suite graph (n <= 16) stays below it.
+ARRAY_MIN_ORDER = 32
 
 
 def _normalize_edge(u: int, v: int) -> Edge:
@@ -75,7 +78,7 @@ class Graph:
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        if self.m < ARRAY_MIN_EDGES:
+        if self.n < ARRAY_MIN_ORDER:
             nbrs: list[list[int]] = [[] for _ in range(self.n)]
             for u, v in self.edges:
                 nbrs[u].append(v)
@@ -93,57 +96,45 @@ class Graph:
         )
 
     @cached_property
-    def _forest(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """BFS forest: the visiting order and each vertex's tree parent (-1 at
-        roots).  Roots and neighbours are taken in ascending order, so every
-        component is rooted at its lowest-numbered vertex."""
+    def _forest(self) -> tuple[tuple, ...]:
+        """One BFS: the visiting order, each vertex's tree parent (-1 at roots)
+        and side of a two-coloring, the components as sorted tuples, and
+        whether each is bipartite.  Roots and neighbours are taken in
+        ascending order, so every component is rooted at its lowest-numbered
+        vertex.  Every edge is scanned from both ends, so a component is
+        bipartite iff no scan meets a neighbour on its own side."""
         parent = [-1] * self.n
-        seen = [False] * self.n
+        side = [-1] * self.n
         order: list[int] = []
+        comps: list[tuple[int, ...]] = []
+        exists: list[bool] = []
         for root in range(self.n):
-            if seen[root]:
+            if side[root] != -1:
                 continue
-            seen[root] = True
-            head = len(order)
+            side[root] = 0
+            head = start = len(order)
             order.append(root)
+            proper = True
             while head < len(order):
                 u = order[head]
                 head += 1
+                flip = side[u] ^ 1
                 for w in self._adjacency[u]:
-                    if not seen[w]:
-                        seen[w] = True
+                    if side[w] == -1:
+                        side[w] = flip
                         parent[w] = u
                         order.append(w)
-        return tuple(order), tuple(parent)
+                    elif side[w] != flip:
+                        proper = False
+            comps.append(tuple(sorted(order[start:])))
+            exists.append(proper)
+        return tuple(order), tuple(parent), tuple(side), tuple(comps), tuple(exists)
 
     @cached_property
     def _bipartition(self) -> "Bipartition":
-        """Components and two-coloring read off ``_forest``."""
-        order, parent = self._forest
-        side = [0] * self.n
-        comp_of = [0] * self.n
-        comps: list[list[int]] = []
-        for v in order:
-            if parent[v] == -1:
-                comps.append([])
-            else:
-                side[v] = side[parent[v]] ^ 1
-            comp_of[v] = len(comps) - 1
-            comps[-1].append(v)
-        if self.m < ARRAY_MIN_EDGES:
-            exists = [True] * len(comps)
-            for u, v in self.edges:
-                if side[u] == side[v]:
-                    exists[comp_of[u]] = False
-        else:
-            us, vs = self._edge_array
-            sides = np.array(side, dtype=np.intp)
-            odd = np.zeros(len(comps), dtype=bool)
-            odd[np.array(comp_of, dtype=np.intp)[us[sides[us] == sides[vs]]]] = True
-            exists = (~odd).tolist()
-        return Bipartition(
-            tuple(tuple(sorted(c)) for c in comps), tuple(exists), tuple(side)
-        )
+        """Components and two-coloring, as ``_forest`` found them."""
+        _, _, side, comps, exists = self._forest
+        return Bipartition(comps, exists, side)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adjacency[v]

@@ -8,8 +8,9 @@ spectrum is real.  Energy is the sum of absolute eigenvalues.
 of the connected components; an isolated vertex contributes a 0, and a
 bipartite component, A = [[0, B], [B*, 0]], contributes +-sigma_i(B) plus
 |p - q| zeros for its p x q biadjacency block B (Jordan-Wielandt).  Below
-``STRUCTURED_MIN_ORDER`` one dense solve of the whole matrix is cheaper,
-and ``eigenvalues(adjacency(phi))`` stays the dense reference either way.
+the one size switch ``graphs.ARRAY_MIN_ORDER`` (32) one dense solve of the
+whole matrix is cheaper, and ``eigenvalues(adjacency(phi))`` stays the dense
+reference either way.
 
 Tolerance ladder (each layer absorbs the noise of the one below):
     1e-12  Hermitian/construction checks
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graphs
 from .gains import GainGraph, all_ones, gain_graph, kronecker, unit
 from .graphs import Graph, cycle_graph
 
@@ -33,11 +35,6 @@ KRONECKER_TOL = 1e-7
 CHAR_POLY_MAX_N = 12
 # One complex n x n matrix at this order is 268 MB, and a solve holds several.
 DENSE_MAX_ORDER = 4096
-# From this order on, ``spectrum`` solves component by component.  Below it
-# per-call overhead dominates and one dense solve of the whole matrix wins.
-# Measured crossover, one BLAS thread: n ~ 16-24 on K_{s,t}, ~ 32-64 on
-# G(n, p) with p in {0.3, 0.5, 0.8}, ~ 48-64 on forests of small trees.
-STRUCTURED_MIN_ORDER = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,10 +64,10 @@ def adjacency(phi: GainGraph) -> np.ndarray:
     return a
 
 
-def _require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
+def _require_hermitian(a: np.ndarray) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.size and np.max(np.abs(a - a.conj().T)) > tol:
+    if a.size and np.max(np.abs(a - a.conj().T)) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
 
 
@@ -184,7 +181,7 @@ def spectrum(phi: GainGraph) -> Spectrum:
 
     Dispatch, all under the order limit ``DENSE_MAX_ORDER`` on n:
       * no edges: all zeros, no solve;
-      * n < ``STRUCTURED_MIN_ORDER``: ``eigenvalues(adjacency(phi))``, one
+      * n < ``graphs.ARRAY_MIN_ORDER``: ``eigenvalues(adjacency(phi))``, one
         dense solve with every eigenpair residual-checked;
       * otherwise one solve per component with edges: the singular values
         of the biadjacency block of a bipartite component, every singular
@@ -199,7 +196,7 @@ def spectrum(phi: GainGraph) -> Spectrum:
     _require_dense_order(n)
     if m == 0:
         return Spectrum(np.zeros(n), 0.0)
-    if n < STRUCTURED_MIN_ORDER:
+    if n < graphs.ARRAY_MIN_ORDER:
         spec = eigenvalues(adjacency(phi))
     else:
         vals = np.sort(_component_eigenvalues(phi))[::-1].copy()

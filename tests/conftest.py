@@ -1,6 +1,5 @@
 """Shared brute-force oracles, kept independent of the package internals,
-the fixture that puts ``spectrum`` on its per-component path, and the one
-that puts the O(m) graph passes on their array path.
+and the fixture that puts every graph on the large-graph paths.
 
 Every oracle here recomputes from first principles (fresh adjacency
 matrices, exhaustive enumeration) so the package's own routines are never on
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gainspec import GainGraph, Graph, graphs, spectra
+from gainspec import GainGraph, Graph, graphs
 
 # pytest puts src/ on sys.path (pyproject.toml); CLI subprocesses need it too.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -26,16 +25,10 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 
 @pytest.fixture
-def structured_spectrum(monkeypatch):
-    """Solve every spectrum component by component, whatever the order."""
-    monkeypatch.setattr(spectra, "STRUCTURED_MIN_ORDER", 0)
-
-
-@pytest.fixture
-def array_passes(monkeypatch):
-    """Run adjacency, the odd-edge test and the balance scan on the edge
-    arrays, whatever the edge count."""
-    monkeypatch.setattr(graphs, "ARRAY_MIN_EDGES", 0)
+def array_paths(monkeypatch):
+    """Build adjacency and scan balance on the edge arrays, and solve every
+    spectrum component by component, whatever the order."""
+    monkeypatch.setattr(graphs, "ARRAY_MIN_ORDER", 0)
 
 
 def adjacency_oracle(phi: GainGraph) -> np.ndarray:

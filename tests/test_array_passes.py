@@ -1,11 +1,11 @@
 """The edge-array path of the O(m) graph passes, the cached arrays behind
 it, and the trusted constructors that skip re-checking copied values.
 
-Under the ``array_passes`` fixture adjacency, the odd-edge test and the
-balance scan run on the arrays at every size; each result is compared with
-the loop form, computed on a fresh copy of the same graph with the edge-count
-constant out of reach.  The graph and gain tests collected below run again
-under the fixture, against their oracles.
+Under the ``array_paths`` fixture adjacency and the balance scan run on the
+arrays at every size; each result is compared with the loop form, computed
+on a fresh copy of the same graph with the order switch out of reach.  The
+graph and gain tests collected below run again under the fixture, against
+their oracles.
 """
 
 import math
@@ -52,7 +52,7 @@ from test_graphs import (  # noqa: F401
     test_kronecker_with_edge_doubles_edges_and_is_bipartite,
 )
 
-pytestmark = pytest.mark.usefixtures("array_passes")
+pytestmark = pytest.mark.usefixtures("array_paths")
 
 
 def fresh(phi):
@@ -73,7 +73,7 @@ def forms(phi):
 
 def loop_forms(phi):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphs, "ARRAY_MIN_EDGES", math.inf)
+        mp.setattr(graphs, "ARRAY_MIN_ORDER", math.inf)
         return forms(fresh(phi))
 
 

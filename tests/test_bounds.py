@@ -420,10 +420,10 @@ def test_derived_instances_are_built_and_solved_once(monkeypatch):
 
 
 def test_lemma_suite_agrees_on_both_spectrum_paths(monkeypatch):
-    from gainspec import spectra
+    from gainspec import graphs
 
     dense = run_lemma_suite(seed=1, trials=40, nmax=6)
-    monkeypatch.setattr(spectra, "STRUCTURED_MIN_ORDER", 0)
+    monkeypatch.setattr(graphs, "ARRAY_MIN_ORDER", 0)
     structured = run_lemma_suite(seed=1, trials=40, nmax=6)
     for a, b in zip(dense, structured, strict=True):
         assert (a.lemma, a.instances, a.skip_reasons) == (
@@ -432,6 +432,28 @@ def test_lemma_suite_agrees_on_both_spectrum_paths(monkeypatch):
             b.skip_reasons,
         )
         assert b.ok and b.worst_margin == pytest.approx(a.worst_margin, abs=1e-9)
+
+
+def test_lemma_suite_stays_on_the_small_graph_paths(monkeypatch):
+    # Every lemma-suite graph has at most nmax vertices, below
+    # graphs.ARRAY_MIN_ORDER: the sweep builds no edge arrays and solves no
+    # block by SVD, where the array paths would cost it per-call overhead.
+    edge_array = Graph.__dict__["_edge_array"].func
+    real_svd = np.linalg.svd
+    built, factored = [], []
+
+    def counting_edge_array(g):
+        built.append(g.n)
+        return edge_array(g)
+
+    def counting_svd(b, *args, **kwargs):
+        factored.append(b.shape)
+        return real_svd(b, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "_edge_array", property(counting_edge_array))
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    run_lemma_suite(seed=1, trials=40, nmax=16)
+    assert built == [] and factored == []
 
 
 def test_subgraph_lemma_judges_each_split_once(monkeypatch):

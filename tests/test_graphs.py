@@ -1,4 +1,6 @@
+import math
 import random
+from collections import deque
 
 import pytest
 
@@ -16,6 +18,7 @@ from gainspec import (
     edge_cut,
     empty_graph,
     gnp_graph,
+    graphs,
     induced_subgraph,
     is_connected,
     kronecker_graph,
@@ -24,6 +27,7 @@ from gainspec import (
     pendant_vertices,
     star_graph,
 )
+from gainspec.corpus import ktt_union_graph
 
 
 def test_construction_validates():
@@ -126,6 +130,51 @@ def test_bipartition_against_odd_cycle_oracle():
         assert bipartition(g).is_bipartite == (not has_odd_cycle_bruteforce(g))
 
 
+def reference_bfs(g):
+    """Visiting order and tree parents of a plain queue BFS, roots and
+    neighbours ascending, on adjacency rebuilt from the edge set."""
+    nbrs = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    order, parent, seen = [], [-1] * g.n, [False] * g.n
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for w in sorted(nbrs[u]):
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = u
+                    queue.append(w)
+    return tuple(order), tuple(parent)
+
+
+@pytest.mark.parametrize("array_min_order", [0, math.inf], ids=["arrays", "loops"])
+def test_traversal_against_networkx_on_the_graph_atlas(monkeypatch, array_min_order):
+    nx = pytest.importorskip("networkx")
+    monkeypatch.setattr(graphs, "ARRAY_MIN_ORDER", array_min_order)
+    atlas = nx.graph_atlas_g()
+    assert len(atlas) == 1253
+    for h in atlas:
+        g = Graph.from_edges(h.number_of_nodes(), h.edges())
+        bip = bipartition(g)
+        assert list(bip.components) == sorted(
+            tuple(sorted(c)) for c in nx.connected_components(h)
+        )
+        for comp, exists in zip(bip.components, bip.exists, strict=True):
+            block = h.subgraph(comp)
+            assert exists == nx.is_bipartite(block)
+            if exists:
+                assert all(bip.side[u] != bip.side[v] for u, v in block.edges)
+        # balance witnesses and violating cycles are read off this forest
+        assert g._forest[:2] == reference_bfs(g)
+
+
 def test_edge_cut():
     assert edge_cut(Graph.from_edges(2, [(0, 1)]), {0}) == {(0, 1)}
     k22 = complete_bipartite(2, 2)
@@ -166,6 +215,18 @@ def test_pendant_vertices():
 def test_disjoint_union_offsets():
     g = disjoint_union(Graph.from_edges(2, [(0, 1)]), Graph.from_edges(2, [(0, 1)]))
     assert g == Graph.from_edges(4, [(0, 1), (2, 3)])
+
+
+def test_ktt_union_graph_numbers_like_chained_disjoint_unions():
+    for parts, isolated in (([], 0), ([], 3), ([1], 0), ([3, 1, 2], 2), ([4, 4], 1)):
+        chained = empty_graph(0)
+        for t in parts:
+            chained = disjoint_union(chained, complete_bipartite(t, t))
+        chained = disjoint_union(chained, empty_graph(isolated))
+        assert ktt_union_graph(parts, isolated) == chained
+    for parts, isolated in (([2, 0], 0), ([2], -1)):
+        with pytest.raises(ValueError):
+            ktt_union_graph(parts, isolated)
 
 
 def test_kronecker_graph_small_cases():

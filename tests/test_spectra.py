@@ -255,7 +255,7 @@ def _assert_matches_dense(phi):
     assert abs(spec.energy - dense.energy) <= 1e-9 * max(n, 1)
 
 
-@pytest.mark.usefixtures("structured_spectrum")
+@pytest.mark.usefixtures("array_paths")
 def test_structured_path_matches_dense_on_forests():
     rng = random.Random(31)
     for n in (1, 2, 3, 8, 25, 60, 120, 200):
@@ -264,14 +264,14 @@ def test_structured_path_matches_dense_on_forests():
         _assert_matches_dense(random_gain_graph(forest, rng))
 
 
-@pytest.mark.usefixtures("structured_spectrum")
+@pytest.mark.usefixtures("array_paths")
 @pytest.mark.parametrize("s, t", [(1, 1), (1, 6), (2, 3), (3, 2), (5, 12), (70, 30)])
 def test_structured_path_matches_dense_on_complete_bipartite(s, t):
     # s != t leaves |s - t| kernel vectors on the larger side
     _assert_matches_dense(random_gain_graph(complete_bipartite(s, t), s * 100 + t))
 
 
-@pytest.mark.usefixtures("structured_spectrum")
+@pytest.mark.usefixtures("array_paths")
 def test_structured_path_matches_dense_on_switched_extremal_unions():
     rng = random.Random(37)
     for parts, isolated in (([1], 0), ([3, 1], 2), ([5, 3, 3, 1], 4), ([40, 25], 7)):
@@ -280,7 +280,7 @@ def test_structured_path_matches_dense_on_switched_extremal_unions():
         assert spectrum(phi).energy == pytest.approx(2.0 * sum(parts), abs=1e-9)
 
 
-@pytest.mark.usefixtures("structured_spectrum")
+@pytest.mark.usefixtures("array_paths")
 def test_structured_path_matches_dense_on_mixed_graphs():
     rng = random.Random(41)
     mixed = disjoint_union(
@@ -323,7 +323,7 @@ def test_spectrum_is_switching_invariant_up_to_order_200(n, p, seed):
     assert np.max(np.abs(a - b), initial=0.0) <= 1e-9 * n
 
 
-@pytest.mark.usefixtures("structured_spectrum")
+@pytest.mark.usefixtures("array_paths")
 def test_svd_residual_guard_fires_on_perturbed_vectors(monkeypatch):
     real_svd = np.linalg.svd
 
@@ -336,7 +336,7 @@ def test_svd_residual_guard_fires_on_perturbed_vectors(monkeypatch):
         spectrum(random_gain_graph(complete_bipartite(3, 4), 43))
 
 
-@pytest.mark.usefixtures("structured_spectrum")
+@pytest.mark.usefixtures("array_paths")
 def test_svd_residual_guard_checks_kernel_vectors(monkeypatch):
     real_svd = np.linalg.svd
     shapes = []

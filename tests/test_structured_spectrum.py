@@ -1,9 +1,9 @@
 """The spectrum, energy and bound-report tests again, with ``spectrum`` on
 its per-component path at every order.
 
-Most of those tests use graphs below ``STRUCTURED_MIN_ORDER``, where
+Most of those tests use graphs below ``graphs.ARRAY_MIN_ORDER``, where
 ``spectrum`` takes one dense solve; collected here, they run under the
-``structured_spectrum`` fixture instead.
+``array_paths`` fixture instead.
 """
 
 import numpy as np
@@ -51,7 +51,7 @@ from test_spectra import (  # noqa: F401
     test_spectrum_sanity_checks_run_on_every_solve,
 )
 
-pytestmark = pytest.mark.usefixtures("structured_spectrum")
+pytestmark = pytest.mark.usefixtures("array_paths")
 
 
 def test_fixture_selects_the_per_component_path(monkeypatch):
