@@ -270,16 +270,17 @@ def check_c6tilde_lemma(
 def check_perfect_matching_lemma(
     members: Iterable[BoundReport], report: LemmaReport | None = None
 ) -> LemmaReport:
-    """A tight gain graph without isolated vertices has a perfect matching.
-    Margin: smallest gap seen (tight members drive it to ~0)."""
+    """A tight gain graph without isolated vertices has a perfect matching,
+    applied to G minus its isolated vertices: those add only zero eigenvalues
+    and no matching edge, so a tight instance matches every vertex of
+    positive degree.  Margin: smallest gap seen (tight members drive it to
+    ~0)."""
     report = report or LemmaReport(PERFECT_MATCHING)
     for rep in members:
         g = rep.phi.graph
-        if any(g.degree(v) == 0 for v in range(g.n)):
-            report.skip("has isolated vertices")
-            continue
         report.record(rep.gap)
-        if rep.numerically_tight and 2 * rep.mu != g.n:
+        covered = sum(1 for v in range(g.n) if g.degree(v))
+        if rep.numerically_tight and 2 * rep.mu != covered:
             report.violate(
                 f"tight instance (gap {rep.gap:.3e}) lacks a perfect matching"
             )
@@ -388,10 +389,6 @@ def run_lemma_suite(
     def sub_rng() -> random.Random:
         return random.Random(master.randrange(2**32))
 
-    def stripped(rep: BoundReport) -> BoundReport:
-        phi = corpus.without_isolated(rep.phi)
-        return rep if phi is rep.phi else bound_report(phi)
-
     base = corpus.random_gain_corpus(master.randrange(2**32), trials, nmax)
     rng_extremal = sub_rng()
     extremal: list[BoundReport] = []
@@ -418,18 +415,17 @@ def run_lemma_suite(
         else:
             vs = rng_cut.sample(range(n), rng_cut.randint(0, n))
         check_edge_cut_lemma(rep, vs, reports[EDGE_CUT])
-        check_perfect_matching_lemma([stripped(rep)], reports[PERFECT_MATCHING])
+        check_perfect_matching_lemma([rep], reports[PERFECT_MATCHING])
         check_nonbipartite_lemma([rep], reports[NONBIPARTITE])
         if extremal and k % 2 == 0:
             j = (k // 2) % len(extremal)
-            subsets = corpus.component_subsets(extremal[j].phi.graph, rng_split)
-            for vs in subsets:
-                key = (j, tuple(sorted(vs)))  # several times smaller than vs
-                if key not in splits:
-                    splits[key] = check_subgraph_lemma(extremal[j], vs)
-                reports[SUBGRAPH].merge(splits[key])
-            if not subsets:
+            split = corpus.component_split(extremal[j].phi.graph, rng_split)
+            if split is None:
                 reports[SUBGRAPH].skip("single component, no proper split")
+            else:
+                if (j, split) not in splits:
+                    splits[j, split] = check_subgraph_lemma(extremal[j], split)
+                reports[SUBGRAPH].merge(splits[j, split])
         else:
             vs = rng_split.sample(range(n), rng_split.randint(0, n))
             check_subgraph_lemma(rep, vs, reports[SUBGRAPH])
@@ -448,7 +444,7 @@ def run_lemma_suite(
         reports[CHORDED_HEXAGON],
     )
 
-    check_perfect_matching_lemma(map(stripped, extremal), reports[PERFECT_MATCHING])
+    check_perfect_matching_lemma(extremal, reports[PERFECT_MATCHING])
 
     balance_extras: list[GainGraph] = []
     for t in range(1, min(4, max(nmax // 2, 1)) + 1):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import gains, graphs
 from .gains import GainGraph
@@ -110,20 +110,12 @@ def structured_perturbations(seed: int, count: int) -> list[GainGraph]:
     return out
 
 
-def without_isolated(phi: GainGraph) -> GainGraph:
-    """Drop degree-0 vertices (relabeling the rest); ``phi`` itself when
-    there are none."""
-    keep = [v for v in range(phi.graph.n) if phi.graph.degree(v) > 0]
-    if len(keep) == phi.graph.n:
-        return phi
-    return gains.induced_gain_subgraph(phi, keep)
-
-
-def component_subsets(g: Graph, rng: random.Random) -> Iterable[frozenset[int]]:
-    """A random nonempty, proper union of whole components (if any exist)."""
+def component_split(g: Graph, rng: random.Random) -> tuple[int, ...] | None:
+    """The sorted vertices of a random nonempty, proper union of whole
+    components; ``None`` for a graph with fewer than two components."""
     comps = graphs.components(g)
     if len(comps) < 2:
-        return []
+        return None
     k = rng.randrange(1, len(comps))
     chosen = rng.sample(range(len(comps)), k)
-    return [frozenset(v for i in chosen for v in comps[i])]
+    return tuple(sorted(v for i in chosen for v in comps[i]))

@@ -230,32 +230,28 @@ def is_balanced(phi: GainGraph) -> BalanceCertificate:
         if u != -1:
             zeta[w] = zeta[u] * phi.gain(w, u)
 
-    # Non-tree edges in ascending (u, v) order, so the witness is deterministic.
+    # Non-tree edges (u, v), u < v, in ascending order, so the witness is
+    # deterministic; from the size switch on, only the array screen's suspects.
     if g.n < graphs.ARRAY_MIN_ORDER:
-        for u in range(g.n):
-            for v in g.neighbors(u):
-                if v < u or parent[v] == u or parent[u] == v:
-                    continue
-                switched = zeta[u].conjugate() * phi.gain(u, v) * zeta[v]
-                if abs(switched - 1.0) > BALANCE_TOL:
-                    return _unbalanced(phi, parent, u, v)
+        edges: Iterable[Edge] = (
+            (u, v)
+            for u in range(g.n)
+            for v in g.neighbors(u)
+            if u < v and parent[v] != u and parent[u] != v
+        )
     else:
-        for u, v in _suspect_edges(phi, parent, zeta):
-            switched = zeta[u].conjugate() * phi.gain(u, v) * zeta[v]
-            if abs(switched - 1.0) > BALANCE_TOL:
-                return _unbalanced(phi, parent, u, v)
+        edges = _suspect_edges(phi, parent, zeta)
+    for u, v in edges:
+        switched = zeta[u].conjugate() * phi.forward[u, v] * zeta[v]
+        if abs(switched - 1.0) > BALANCE_TOL:
+            cyc = _fundamental_cycle(parent, u, v)
+            return BalanceCertificate(
+                balanced=False,
+                violating_cycle=cyc,
+                violation_gain=cycle_gain(phi, cyc),
+            )
     return BalanceCertificate(
         balanced=True, witness=SwitchingFunction(tuple(zeta))
-    )
-
-
-def _unbalanced(
-    phi: GainGraph, parent: Sequence[int], u: int, v: int
-) -> BalanceCertificate:
-    """The certificate for the failing non-tree edge (u, v)."""
-    cyc = _fundamental_cycle(parent, u, v)
-    return BalanceCertificate(
-        balanced=False, violating_cycle=cyc, violation_gain=cycle_gain(phi, cyc)
     )
 
 

@@ -45,6 +45,14 @@ class Spectrum:
     energy: float
 
 
+def _descending_spectrum(ascending: np.ndarray) -> Spectrum:
+    """The spectrum of eigenvalues given in ascending order, held in a
+    read-only descending copy."""
+    vals = ascending[::-1].copy()
+    vals.flags.writeable = False
+    return Spectrum(vals, float(np.sum(np.abs(vals))))
+
+
 def _require_dense_order(n: int) -> None:
     if n > DENSE_MAX_ORDER:
         raise ValueError(f"order {n} exceeds the dense limit {DENSE_MAX_ORDER}")
@@ -80,7 +88,7 @@ def eigenvalues(a: np.ndarray) -> Spectrum:
     a = np.asarray(a, dtype=complex)
     _require_hermitian(a)
     if a.shape[0] == 0:
-        return Spectrum(np.empty(0), 0.0)
+        return _descending_spectrum(np.empty(0))
     vals, vecs = np.linalg.eigh(a)
     scale = float(np.max(np.abs(vals)))
     if scale > 0.0:
@@ -90,8 +98,7 @@ def eigenvalues(a: np.ndarray) -> Spectrum:
                 f"eigensolver residual {np.max(residuals):.3e} exceeds "
                 f"{RESIDUAL_TOL:.0e} * ||A||"
             )
-    descending = vals[::-1].copy()
-    return Spectrum(descending, float(np.sum(np.abs(descending))))
+    return _descending_spectrum(vals)
 
 
 def _singular_values(b: np.ndarray) -> np.ndarray:
@@ -195,12 +202,11 @@ def spectrum(phi: GainGraph) -> Spectrum:
     n, m = phi.graph.n, phi.graph.m
     _require_dense_order(n)
     if m == 0:
-        return Spectrum(np.zeros(n), 0.0)
+        return _descending_spectrum(np.zeros(n))
     if n < graphs.ARRAY_MIN_ORDER:
         spec = eigenvalues(adjacency(phi))
     else:
-        vals = np.sort(_component_eigenvalues(phi))[::-1].copy()
-        spec = Spectrum(vals, float(np.sum(np.abs(vals))))
+        spec = _descending_spectrum(np.sort(_component_eigenvalues(phi)))
     if abs(float(np.sum(spec.eigenvalues))) > 1e-8 * n:
         raise RuntimeError("spectrum sanity: eigenvalue sum is not ~0")
     if abs(float(np.sum(spec.eigenvalues**2)) - 2.0 * m) > 1e-7 * n:

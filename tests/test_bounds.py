@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -251,7 +252,20 @@ def test_perfect_matching_lemma():
     rep = check_perfect_matching_lemma(
         [bound_report(all_ones(disjoint_union(path_graph(2), empty_graph(1))))]
     )
-    assert rep.instances == 0 and rep.skip_reasons["has isolated vertices"] == 1
+    assert rep.ok and rep.instances == 1 and not rep.skips and rep.worst_margin == 0.0
+
+
+@pytest.mark.parametrize("isolated", [0, 2])
+def test_perfect_matching_lemma_flags_an_unmatched_vertex(isolated):
+    # A tight report must match every vertex of positive degree, whether or
+    # not the graph also has isolated vertices, which need no matching edge.
+    rep = bound_report(extremal_union([2], isolated=isolated))
+    assert rep.numerically_tight and rep.mu == 2
+    lemma = check_perfect_matching_lemma([rep])
+    assert lemma.ok and lemma.instances == 1
+    lemma = check_perfect_matching_lemma([dataclasses.replace(rep, mu=1)])
+    assert lemma.instances == 1 and len(lemma.violations) == 1
+    assert "lacks a perfect matching" in lemma.violations[0]
 
 
 def test_nonbipartite_lemma():
@@ -385,6 +399,24 @@ def test_run_lemma_suite_analyses_each_instance_once(monkeypatch):
     assert solved and matched
     assert len({id(phi) for phi in solved}) == len(solved)
     assert len({id(g) for g in matched}) == len(matched)
+
+
+def test_run_lemma_suite_analyses_each_drawn_instance_once(monkeypatch):
+    from gainspec import bounds
+
+    # keep every argument alive so that no id is reused
+    analysed = []
+    real_report = bounds.bound_report
+
+    def counting_report(phi):
+        analysed.append(phi)
+        return real_report(phi)
+
+    monkeypatch.setattr(bounds, "bound_report", counting_report)
+    run_lemma_suite(seed=1, trials=40, nmax=6)
+    # 40 base instances, 5 extremal unions, 40 trees, 11 balance extras
+    assert len(analysed) == 96
+    assert len({id(phi) for phi in analysed}) == len(analysed)
 
 
 def test_derived_instances_are_built_and_solved_once(monkeypatch):

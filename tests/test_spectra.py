@@ -230,6 +230,24 @@ def test_adjacency_agrees_with_oracle_builder():
         assert np.array_equal(adjacency(phi), adjacency_oracle(phi))
 
 
+def test_spectra_are_read_only():
+    from gainspec import bound_report, graphs
+
+    t = (graphs.ARRAY_MIN_ORDER + 1) // 2
+    rep = bound_report(all_ones(complete_bipartite(2, 2)))
+    built = [
+        rep.spectrum,  # one dense solve through eigenvalues()
+        spectrum(all_ones(complete_bipartite(t, t))),  # one solve per component
+        spectrum(all_ones(empty_graph(3))),  # edgeless: no solve
+        eigenvalues(np.zeros((0, 0))),
+    ]
+    for spec in built:
+        with pytest.raises(ValueError, match="read-only"):
+            spec.eigenvalues[:] = 99.0
+    assert list(rep.spectrum.eigenvalues) == pytest.approx([2, 0, 0, -2], abs=1e-12)
+    assert rep.energy == rep.spectrum.energy
+
+
 def test_edgeless_graph_costs_no_solve(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("an edgeless spectrum reached LAPACK")
