@@ -383,7 +383,10 @@ def run_lemma_suite(
     seed: int = 42, trials: int = 200, nmax: int = 10
 ) -> list[LemmaReport]:
     """Run every lemma sweep over seeded corpora; deterministic in seed.
-    Each instance gets one ``bound_report``, judged by every lemma visiting it."""
+    Each instance gets one ``bound_report``, judged by every lemma visiting it.
+    A negative ``trials`` raises ``ValueError``."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     master = random.Random(seed)
 
     def sub_rng() -> random.Random:

@@ -6,8 +6,8 @@
     gainspec double <file>        bipartite double plus spectrum-doubling check
 
 Reports go to standard output as JSON (default) or flat text.  Exit codes:
-0 all checks passed, 1 a check failed, 2 bad usage, unparseable input, or
-input too large to solve densely.
+0 all checks passed, 1 a check failed, 2 bad usage, unparseable input,
+input too large to solve densely, or an output path that cannot be written.
 GAINSPEC_SEED overrides the default seed when --seed is absent.
 """
 
@@ -29,6 +29,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+# The kinds ``generate`` builds: every named construction, plus two seeded ones.
+GENERATE_KINDS = (*graphs.NAMED_GRAPHS, "gnp", "extremal-union")
+
 
 def _default_seed() -> int:
     env = os.environ.get("GAINSPEC_SEED")
@@ -37,8 +40,7 @@ def _default_seed() -> int:
     try:
         return int(env)
     except ValueError:
-        print(f"gainspec: bad GAINSPEC_SEED value {env!r}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(f"bad GAINSPEC_SEED value {env!r}") from None
 
 
 def _emit(doc: dict[str, Any], fmt: str) -> None:
@@ -93,26 +95,24 @@ def analysis_report(phi: GainGraph) -> dict[str, Any]:
     return doc
 
 
-def _load(path: str) -> GainGraph | None:
-    """The gain graph in ``path``, or None once stderr says why it is unreadable."""
+def _load(path: str) -> GainGraph:
+    """The gain graph in ``path``; a parse error names the file."""
     try:
         return fileio.load_gain_graph(path)
     except fileio.GainGraphParseError as exc:
-        print(f"gainspec: {path}: {exc}", file=sys.stderr)
-    except OSError as exc:
-        print(f"gainspec: {exc}", file=sys.stderr)
-    return None
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _write(phi: GainGraph, out: str | None, comment: str) -> None:
+    """Save ``phi`` to ``out``, or write it to stdout when there is none."""
+    if out:
+        fileio.save_gain_graph(phi, out, comment=comment)
+    else:
+        sys.stdout.write(fileio.serialize_gain_graph(phi, comment=comment))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    phi = _load(args.file)
-    if phi is None:
-        return EXIT_USAGE
-    try:
-        doc = analysis_report(phi)
-    except ValueError as exc:
-        print(f"gainspec: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    doc = analysis_report(_load(args.file))
     _emit(doc, args.format)
     return EXIT_OK if doc["consistent"] else EXIT_CHECK_FAILED
 
@@ -187,30 +187,15 @@ def _build_instance(kind: str, params: list[str], seed: int, switched: bool,
 def _cmd_generate(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     kind = args.kind
-    try:
-        phi = _build_instance(kind, args.params, seed, args.switched, args.isolated)
-    except ValueError as exc:
-        print(f"gainspec: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    phi = _build_instance(kind, args.params, seed, args.switched, args.isolated)
     comment = f"gainspec generate {kind} {' '.join(args.params)} seed={seed}".rstrip()
-    text = fileio.serialize_gain_graph(phi, comment=comment)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(phi, args.out, comment)
     return EXIT_OK
 
 
 def _cmd_double(args: argparse.Namespace) -> int:
     phi = _load(args.file)
-    if phi is None:
-        return EXIT_USAGE
-    try:
-        check = spectra.kronecker_spectrum_check(phi, graphs.complete_graph(2))
-    except ValueError as exc:
-        print(f"gainspec: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    check = spectra.kronecker_spectrum_check(phi, graphs.complete_graph(2))
     doc = {
         "n": phi.graph.n,
         "m": phi.graph.m,
@@ -221,15 +206,10 @@ def _cmd_double(args: argparse.Namespace) -> int:
         "spectrum_deviation": check.spectrum_deviation,
         "ok": check.ok,
     }
-    text = fileio.serialize_gain_graph(
-        check.product, comment=f"bipartite double of {args.file}"
-    )
+    _write(check.product, args.out, f"bipartite double of {args.file}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
         _emit(doc, args.format)
     else:
-        sys.stdout.write(text)
         print(json.dumps(doc) if args.format == "json" else _render(doc),
               file=sys.stderr)
     return EXIT_OK if check.ok else EXIT_CHECK_FAILED
@@ -272,11 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemmas.set_defaults(func=_cmd_lemmas)
 
     p_gen = sub.add_parser("generate", help="write an instance file")
-    p_gen.add_argument(
-        "kind",
-        help="knn | cycle | path | complete | complete_bipartite | star | "
-        "c6tilde | gnp | extremal-union",
-    )
+    p_gen.add_argument("kind", help=" | ".join(GENERATE_KINDS))
     p_gen.add_argument("params", nargs="*")
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--out", default=None)
@@ -298,8 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; any ``ValueError`` or ``OSError`` it raises becomes
+    ``gainspec: <message>`` on stderr and exit 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"gainspec: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entrypoint() -> None:

@@ -67,6 +67,10 @@ class Graph:
         g.__dict__["_edge_array"] = ends
         return g
 
+    def __reduce__(self):
+        # Rebuild, not restore ``__dict__``: a cached array would come back writeable.
+        return (Graph, (self.n, self.edges))
+
     @cached_property
     def _edge_array(self) -> EdgeArrays:
         """Read-only endpoint arrays (us, vs) in ascending (u, v) order."""
@@ -292,24 +296,26 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     return Graph(g.n + h.n, g.edges | frozenset(shifted))
 
 
+# Every named construction: its constructor and its number of parameters.
+NAMED_GRAPHS = {
+    "knn": (lambda t: complete_bipartite(t, t), 1),
+    "cycle": (cycle_graph, 1),
+    "path": (path_graph, 1),
+    "complete": (complete_graph, 1),
+    "complete_bipartite": (complete_bipartite, 2),
+    "star": (star_graph, 1),
+    "c6tilde": (chorded_six_cycle, 0),
+}
+
+
 def named_graph(kind: str, *params: int) -> Graph:
-    """Dispatch on a construction name: knn (K_{t,t}), path, cycle, complete,
-    complete_bipartite, star, c6tilde."""
-    builders = {
-        "knn": (lambda t: complete_bipartite(t, t), 1),
-        "path": (path_graph, 1),
-        "cycle": (cycle_graph, 1),
-        "complete": (complete_graph, 1),
-        "complete_bipartite": (complete_bipartite, 2),
-        "star": (star_graph, 1),
-        "c6tilde": (chorded_six_cycle, 0),
-    }
-    if kind not in builders:
+    """Dispatch on a construction name of ``NAMED_GRAPHS``; knn t is K_{t,t}."""
+    if kind not in NAMED_GRAPHS:
         raise ValueError(f"unknown kind {kind!r}")
-    builder, arity = builders[kind]
+    build, arity = NAMED_GRAPHS[kind]
     if len(params) != arity:
         raise ValueError(f"{kind} takes {arity} parameter(s), got {len(params)}")
-    return builder(*params)
+    return build(*params)
 
 
 def kronecker_graph(g: Graph, h: Graph) -> Graph:

@@ -39,17 +39,24 @@ DENSE_MAX_ORDER = 4096
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Real eigenvalues sorted descending, and their absolute sum."""
+    """Real eigenvalues sorted descending, in a read-only array, and their
+    absolute sum."""
 
     eigenvalues: np.ndarray
     energy: float
 
+    def __post_init__(self) -> None:
+        self.eigenvalues.flags.writeable = False
+
+    def __reduce__(self):
+        # Rebuild through the constructor, so a copy's array is read-only too.
+        return (Spectrum, (self.eigenvalues, self.energy))
+
 
 def _descending_spectrum(ascending: np.ndarray) -> Spectrum:
     """The spectrum of eigenvalues given in ascending order, held in a
-    read-only descending copy."""
+    descending copy."""
     vals = ascending[::-1].copy()
-    vals.flags.writeable = False
     return Spectrum(vals, float(np.sum(np.abs(vals))))
 
 

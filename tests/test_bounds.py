@@ -376,6 +376,12 @@ def test_run_lemma_suite_smoke_and_determinism():
         )
 
 
+@pytest.mark.parametrize("trials", [-1, -5])
+def test_run_lemma_suite_rejects_negative_trials(trials):
+    with pytest.raises(ValueError, match=f"trials must be >= 0, got {trials}"):
+        run_lemma_suite(seed=1, trials=trials, nmax=6)
+
+
 def test_run_lemma_suite_analyses_each_instance_once(monkeypatch):
     from gainspec import bounds, matching, spectra
 

@@ -156,6 +156,14 @@ def test_generate_seed_env_override(capsys, monkeypatch):
     assert via_env == via_flag
 
 
+@pytest.mark.parametrize("argv", [["generate", "knn", "2"], ["lemmas"]])
+def test_bad_seed_env_is_a_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("GAINSPEC_SEED", "x")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "gainspec: bad GAINSPEC_SEED value 'x'\n"
+
+
 def test_generate_extremal_union_analyzes_tight(capsys, tmp_path):
     path = tmp_path / "eu.ugg"
     code, _, _ = run_cli(
@@ -232,6 +240,19 @@ def test_double_triangle(capsys, tmp_path):
     assert doc["ok"]
     doubled = parse_gain_graph(out_path.read_text())
     assert doubled.graph.n == 6 and doubled.graph.m == 6
+
+
+@pytest.mark.parametrize("target", ["missing/x.ugg", "."])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, target):
+    out_path = tmp_path / target
+    code, out, err = run_cli(capsys, "generate", "knn", "2", "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("gainspec: [Errno ") and str(out_path) in err
+    src = tmp_path / "k2.ugg"
+    src.write_text("ugg 2\n0 1 1.25\n")
+    code, out, err = run_cli(capsys, "double", str(src), "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("gainspec: [Errno ") and str(out_path) in err
 
 
 def test_double_single_edge(capsys, tmp_path):

@@ -81,6 +81,7 @@ def test_parse_empty_graph():
         ("ugg 3\n0 1 inf\n", 2),           # non-finite angle
         ("ugg 3\n0 1\n", 2),               # short line
         ("", 1),                           # empty input
+        ("# only a comment", 1),           # missing header, no newline
     ],
 )
 def test_parse_errors_carry_line_numbers(text, bad_line):
@@ -117,6 +118,7 @@ ERROR_CASES = [
     "ugg 3\n0 1 inf\n",
     "ugg 3\n0 1\n",
     "",
+    "# only a comment",
 ]
 
 # Inputs outside the canonical layout, or failing one of its checks: each
@@ -136,6 +138,7 @@ FALLBACK_CASES = [
     "ugg 9\n0 1 0.5\n1 2 0.25",                    # no final newline
     "ugg 9\n0 1 0.5\n١ 2 0.25\n",             # non-ASCII digit
     "ugg 9\n0 1 0.5\n1  2 0.25\n",                 # double space
+    "ugg 9\n0 1 0.5\n1 2 0.25 7\n2 3\n",           # 2m spaces, misplaced
     "ugg 9\n0 1 0.5\n 1 2 0.25\n",                 # leading space
     "ugg 9\n0 1 0.5\n1 2 0.25 \n",                 # trailing space
     "ugg 9\n1 2 0.5\n0 1 0.25\n",                  # edges out of order

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import numpy as np
@@ -246,6 +248,31 @@ def test_spectra_are_read_only():
             spec.eigenvalues[:] = 99.0
     assert list(rep.spectrum.eigenvalues) == pytest.approx([2, 0, 0, -2], abs=1e-12)
     assert rep.energy == rep.spectrum.energy
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_arrays_stay_read_only_after_a_round_trip(round_trip):
+    from gainspec import bound_report
+
+    phi = extremal_union([3, 2], isolated=1, switch_seed=7)
+    phi._gain_array  # caches phi.graph._edge_array as well
+    rep = bound_report(phi)
+    graph, psi, spec, rep2 = map(round_trip, (phi.graph, phi, rep.spectrum, rep))
+    assert graph == phi.graph and dict(psi.forward) == dict(phi.forward)
+    assert np.array_equal(spec.eigenvalues, rep.spectrum.eigenvalues)
+    assert rep2 == rep
+    arrays = [
+        *graph._edge_array, psi._gain_array, *psi.graph._edge_array,
+        spec.eigenvalues, rep2.spectrum.eigenvalues,
+        *rep2.phi.graph._edge_array, rep2.phi._gain_array,
+    ]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[:] = 0
 
 
 def test_edgeless_graph_costs_no_solve(monkeypatch):
