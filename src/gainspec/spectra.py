@@ -82,6 +82,8 @@ def adjacency(phi: GainGraph) -> np.ndarray:
 def _require_hermitian(a: np.ndarray) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
     if a.size and np.max(np.abs(a - a.conj().T)) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
 
@@ -290,18 +292,12 @@ class KroneckerCheck:
         return self.spectrum_ok and self.doubling_ok is not False
 
 
-KRONECKER_MAX_ORDER = 64
-
-
 def kronecker_spectrum_check(phi: GainGraph, h: Graph) -> KroneckerCheck:
     """Verify that the product spectrum is the set of pairwise eigenvalue
     products {eta_s * lambda_t}, and for a single-edge second factor that the
-    energy doubles."""
-    order = phi.graph.n * h.n
-    if order > KRONECKER_MAX_ORDER:
-        raise ValueError(
-            f"product order {order} exceeds the limit {KRONECKER_MAX_ORDER}"
-        )
+    energy doubles.  A product order above ``DENSE_MAX_ORDER`` raises
+    ``ValueError`` before the product is built."""
+    _require_dense_order(phi.graph.n * h.n)
     first = spectrum(phi)
     eta = first.eigenvalues
     lam = spectrum(all_ones(h)).eigenvalues

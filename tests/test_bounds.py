@@ -376,6 +376,14 @@ def test_run_lemma_suite_smoke_and_determinism():
         )
 
 
+def test_run_lemma_suite_skips_extremal_unions_without_a_split():
+    # seed 0 draws one-component extremal unions, which have no proper split
+    reports = {r.lemma: r for r in run_lemma_suite(seed=0, trials=16, nmax=6)}
+    subgraph = reports["tight_subgraph_propagation"]
+    assert subgraph.skip_reasons["single component, no proper split"] == 4
+    assert subgraph.ok and subgraph.instances > 0
+
+
 @pytest.mark.parametrize("trials", [-1, -5])
 def test_run_lemma_suite_rejects_negative_trials(trials):
     with pytest.raises(ValueError, match=f"trials must be >= 0, got {trials}"):

@@ -215,6 +215,20 @@ def test_generate_bad_inputs(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["extremal-union", "2,x"], "bad block list '2,x', expected like 2,2,1"),
+        (["gnp", "5"], "gnp takes 2 parameter(s), got 1"),
+        (["extremal-union"], "extremal-union takes 1 parameter(s), got 0"),
+    ],
+)
+def test_generate_parameter_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, "generate", *argv)
+    assert code == 2 and out == ""
+    assert err == f"gainspec: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["knn", "2", "--isolated", "3", "--switched"],
@@ -275,12 +289,45 @@ def test_double_empty_graph(capsys, tmp_path):
     assert doc["double_energy"] == 0.0
 
 
-def test_double_size_limit(capsys, tmp_path):
+def test_double_size_limit(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(spectra, "DENSE_MAX_ORDER", 64)
     src = tmp_path / "c33.ugg"
     main(["generate", "cycle", "33", "--out", str(src)])
     capsys.readouterr()
     code, _, err = run_cli(capsys, "double", str(src))
     assert code == 2 and "limit" in err
+
+
+def test_double_checks_inputs_above_order_32(capsys, tmp_path):
+    src = tmp_path / "c33.ugg"
+    main(["generate", "cycle", "33", "--out", str(src)])
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "double", str(src))
+    assert code == 0
+    doc = json.loads(err.strip().splitlines()[-1])
+    assert doc["double_n"] == 66 and doc["ok"]
+    assert parse_gain_graph(out).graph.n == 66
+
+
+def test_double_refuses_inputs_above_half_the_dense_limit(capsys, tmp_path):
+    limit = spectra.DENSE_MAX_ORDER
+    n = limit // 2 + 1
+    src = tmp_path / "big.ugg"
+    src.write_text(f"ugg {n}\n0 1 0\n")
+    code, out, err = run_cli(capsys, "double", str(src))
+    assert code == 2 and out == ""
+    assert err == f"gainspec: order {2 * n} exceeds the dense limit {limit}\n"
+
+
+def test_double_text_report_without_out_is_one_stderr_line(capsys, tmp_path):
+    src = tmp_path / "c5.ugg"
+    main(["generate", "cycle", "5", "--out", str(src)])
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "double", str(src), "--format", "text")
+    assert code == 0
+    assert parse_gain_graph(out).graph.n == 10
+    assert err.startswith("{n: 5, m: 5, energy: ") and err.endswith(", ok: True}\n")
+    assert err.count("\n") == 1
 
 
 def test_analysis_report_solves_and_checks_balance_once(monkeypatch):

@@ -90,6 +90,26 @@ def test_gain_graph_record_rejects_non_unit_values():
         GainGraph(g, {(0, 1): 0.5 + 0.0j})
 
 
+NAN_GAIN = complex(math.nan, 0.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g: unit(NAN_GAIN),
+        lambda g: GainGraph(g, {(0, 1): NAN_GAIN}),
+        lambda g: gain_graph(g, {(1, 0): NAN_GAIN}),
+        lambda g: set_gain(all_ones(g), 0, 1, NAN_GAIN),
+        lambda g: SwitchingFunction((1.0 + 0.0j, NAN_GAIN)),
+    ],
+    ids=["unit", "GainGraph", "gain_graph", "set_gain", "SwitchingFunction"],
+)
+def test_nan_gain_is_rejected(build):
+    # abs(NaN - 1) > tol is False: every modulus check must fail NaN instead
+    with pytest.raises(ValueError):
+        build(Graph.from_edges(2, [(0, 1)]))
+
+
 def test_orientation_inverse_invariant_random():
     rng = random.Random(23)
     for _ in range(30):
@@ -152,6 +172,11 @@ def test_switch_identity_and_cancellation():
     assert same.gain(0, 1) == phi.gain(0, 1)
     cancel = switch(phi, SwitchingFunction((1.0 + 0.0j, -1j)))
     assert cmath.isclose(cancel.gain(0, 1), 1.0, abs_tol=1e-15)
+
+
+def test_switch_rejects_a_function_of_the_wrong_length():
+    with pytest.raises(ValueError, match="must cover every vertex"):
+        switch(all_ones(complete_graph(3)), SwitchingFunction.identity(2))
 
 
 @given(st.lists(angles, min_size=4, max_size=7), st.data())

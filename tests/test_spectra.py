@@ -32,6 +32,7 @@ from gainspec import (
     random_gain_graph,
     random_switching,
     set_gain,
+    spectra,
     spectrum,
     switch,
     unit_from_angle,
@@ -209,9 +210,42 @@ def test_kronecker_spectrum_check_random_doubles():
         assert check.double_energy == pytest.approx(2 * energy(phi), abs=1e-7)
 
 
-def test_kronecker_spectrum_check_size_limit():
+def test_kronecker_spectrum_check_size_limit(monkeypatch):
+    monkeypatch.setattr(spectra, "DENSE_MAX_ORDER", 64)
     with pytest.raises(ValueError):
         kronecker_spectrum_check(all_ones(cycle_graph(33)), complete_graph(2))
+
+
+def test_kronecker_spectrum_check_is_bounded_by_the_dense_limit(monkeypatch):
+    limit = spectra.DENSE_MAX_ORDER
+    k2 = complete_graph(2)
+    at_limit = kronecker_spectrum_check(all_ones(empty_graph(limit // 2)), k2)
+    assert at_limit.ok and at_limit.product.graph.n == limit
+
+    def unbuilt(*args):
+        raise AssertionError("the product was built")
+
+    monkeypatch.setattr(spectra, "kronecker", unbuilt)
+    n = limit // 2 + 1
+    message = f"^order {2 * n} exceeds the dense limit {limit}$"
+    with pytest.raises(ValueError, match=message):
+        kronecker_spectrum_check(all_ones(empty_graph(n)), k2)
+
+
+@given(
+    st.integers(17, 100),
+    st.sampled_from((0.0, 0.03, 0.1, 0.3)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(deadline=None, max_examples=25)
+def test_bipartite_double_energy_matches_the_oracle_above_order_12(n, p, seed):
+    # the factor lies on both sides of graphs.ARRAY_MIN_ORDER; the double of
+    # order 34 to 200 is solved one bipartite block at a time
+    rng = random.Random(seed)
+    phi = random_gain_graph(gnp_graph(n, p, rng), rng)
+    check = kronecker_spectrum_check(phi, complete_graph(2))
+    assert check.ok
+    assert abs(check.double_energy - 2 * energy_oracle(phi)) <= 1e-7
 
 
 def test_spectrum_sanity_checks_run_on_every_solve():
@@ -223,6 +257,29 @@ def test_spectrum_sanity_checks_run_on_every_solve():
         n, m = phi.graph.n, phi.graph.m
         assert abs(float(np.sum(spec.eigenvalues))) <= 1e-8 * max(n, 1)
         assert abs(float(np.sum(spec.eigenvalues**2)) - 2 * m) <= 1e-7 * max(n, 1)
+
+
+def _with_entries(entries):
+    a = np.zeros((2, 2), dtype=complex)
+    for (i, j), z in entries.items():
+        a[i, j] = z
+    return a
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.full((2, 2), math.nan),
+        _with_entries({(0, 1): math.nan, (1, 0): math.nan}),
+        _with_entries({(0, 1): math.inf, (1, 0): math.inf}),
+        _with_entries({(0, 0): -math.inf}),
+        _with_entries({(0, 1): complex(1.0, math.nan), (1, 0): 1.0}),
+    ],
+    ids=["all-nan", "nan-pair", "inf-pair", "minus-inf-diagonal", "nan-imaginary"],
+)
+def test_eigenvalues_rejects_non_finite_entries(a):
+    with pytest.raises(ValueError, match="non-finite"):
+        eigenvalues(a)
 
 
 def test_adjacency_agrees_with_oracle_builder():
