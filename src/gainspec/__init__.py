@@ -11,7 +11,6 @@ from .graphs import (
     components,
     cycle_graph,
     delete_edges,
-    disjoint_union,
     edge_cut,
     empty_graph,
     gnp_graph,
@@ -28,7 +27,6 @@ from .gains import (
     GainGraph,
     SwitchingFunction,
     all_ones,
-    bipartite_double,
     cycle_gain,
     delete_gain_edges,
     gain_graph,
@@ -46,18 +44,13 @@ from .spectra import (
     KroneckerCheck,
     Spectrum,
     adjacency,
-    char_poly,
     eigenvalues,
     energy,
-    four_cycle_energy,
-    four_cycle_gain_graph,
     kronecker_spectrum_check,
     spectrum,
 )
 from .matching import (
     MatchingResult,
-    has_perfect_matching,
-    matching_oracle,
     maximum_matching,
 )
 from .bounds import (

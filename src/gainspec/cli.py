@@ -7,7 +7,8 @@
 
 Reports go to standard output as JSON (default) or flat text.  Exit codes:
 0 all checks passed, 1 a check failed, 2 bad usage, unparseable input,
-input too large to solve densely, or an output path that cannot be written.
+input too large to solve densely, running out of memory, or an output path
+that cannot be written.
 GAINSPEC_SEED overrides the default seed when --seed is absent.
 """
 
@@ -275,13 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; any ``ValueError`` or ``OSError`` it raises becomes
-    ``gainspec: <message>`` on stderr and exit 2."""
+    ``gainspec: <message>`` on stderr and exit 2, and a ``MemoryError``
+    becomes ``gainspec: out of memory`` and exit 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"gainspec: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except MemoryError:
+        print("gainspec: out of memory", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def entrypoint() -> None:

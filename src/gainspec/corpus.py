@@ -9,7 +9,6 @@ switching (which preserves balance and the spectrum).
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Sequence
 
@@ -23,11 +22,11 @@ DEFAULT_EDGE_PROBS = (0.3, 0.5, 0.8)
 def random_gain_corpus(seed: int, count: int, nmax: int) -> list[GainGraph]:
     """``count`` random gain graphs on 2..nmax vertices, deterministic in seed."""
     rng = random.Random(seed)
-    sizes = list(range(2, max(nmax, 2) + 1))
+    span = max(nmax, 2) - 1  # the number of orders in 2..nmax
     corpus = []
     for k in range(count):
-        n = sizes[k % len(sizes)]
-        p = DEFAULT_EDGE_PROBS[(k // len(sizes)) % len(DEFAULT_EDGE_PROBS)]
+        n = 2 + k % span
+        p = DEFAULT_EDGE_PROBS[(k // span) % len(DEFAULT_EDGE_PROBS)]
         g = graphs.gnp_graph(n, p, rng)
         corpus.append(gains.random_gain_graph(g, rng))
     return corpus
@@ -42,8 +41,8 @@ def random_tree(n: int, rng: random.Random) -> Graph:
 
 def ktt_union_graph(parts: Sequence[int], isolated: int = 0) -> Graph:
     """Disjoint union of complete bipartite blocks with sides parts[j],
-    plus ``isolated`` extra vertices, numbered as chained ``disjoint_union``
-    calls number them."""
+    plus ``isolated`` extra vertices, numbered block by block (side 0
+    first), isolated vertices last."""
     edges: list[tuple[int, int]] = []
     n = 0
     for t in parts:
@@ -82,32 +81,6 @@ def part_multisets(total_max: int) -> list[tuple[int, ...]]:
 
     extend([], total_max, total_max)
     return sorted(found)
-
-
-def structured_perturbations(seed: int, count: int) -> list[GainGraph]:
-    """Near-miss and off-family instances: equal-sided complete bipartite
-    blocks with one gain rotated by e^{i pi/4}, even cycles, the chorded
-    six-cycle, short paths, and odd cycles, with randomized gains."""
-    rng = random.Random(seed)
-    rot = gains.unit_from_angle(0.25 * math.pi)
-    out: list[GainGraph] = []
-    while len(out) < count:
-        kind = len(out) % 5
-        if kind == 0:
-            t = rng.choice((2, 3))
-            phi = gains.all_ones(graphs.complete_bipartite(t, t))
-            u, v = sorted(phi.graph.edges)[rng.randrange(phi.graph.m)]
-            out.append(gains.set_gain(phi, u, v, rot))
-        elif kind == 1:
-            out.append(gains.random_gain_graph(graphs.cycle_graph(6), rng))
-        elif kind == 2:
-            out.append(gains.random_gain_graph(graphs.chorded_six_cycle(), rng))
-        elif kind == 3:
-            out.append(gains.random_gain_graph(graphs.path_graph(4), rng))
-        else:
-            k = rng.choice((3, 5, 7, 9))
-            out.append(gains.random_gain_graph(graphs.cycle_graph(k), rng))
-    return out
 
 
 def component_split(g: Graph, rng: random.Random) -> tuple[int, ...] | None:

@@ -304,11 +304,6 @@ def kronecker(phi: GainGraph, h: Graph) -> GainGraph:
     return GainGraph._trusted(kg, store)
 
 
-def bipartite_double(phi: GainGraph) -> GainGraph:
-    """Tensor product with a single edge: the bipartite double."""
-    return kronecker(phi, graphs.complete_graph(2))
-
-
 def random_gain_graph(g: Graph, seed: int | random.Random) -> GainGraph:
     """Uniform random angle on each edge; deterministic for a fixed seed."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)

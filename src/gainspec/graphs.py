@@ -175,14 +175,6 @@ class Bipartition:
     def is_bipartite(self) -> bool:
         return all(self.exists)
 
-    def sides_of(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Vertices of component k on side 0 and side 1."""
-        comp = self.components[k]
-        return (
-            tuple(v for v in comp if self.side[v] == 0),
-            tuple(v for v in comp if self.side[v] == 1),
-        )
-
 
 def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Subgraph induced by ``vs``, relabeled to 0..|vs|-1 in sorted order.
@@ -288,12 +280,6 @@ def star_graph(t: int) -> Graph:
 def chorded_six_cycle() -> Graph:
     """Six-cycle 0-1-2-3-4-5-0 with the extra chord {1, 4}."""
     return Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)] + [(1, 4)])
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    """Disjoint union; vertices of ``h`` are shifted up by ``g.n``."""
-    shifted = ((u + g.n, v + g.n) for u, v in h.edges)
-    return Graph(g.n + h.n, g.edges | frozenset(shifted))
 
 
 # Every named construction: its constructor and its number of parameters.

@@ -1,14 +1,10 @@
-"""Maximum matching on general graphs, plus an exhaustive oracle.
+"""Maximum matching on general graphs.
 
 ``maximum_matching`` implements Edmonds' blossom algorithm (alternating BFS
 with blossom contraction via base pointers, O(V^3)), which is correct on
 non-bipartite graphs where augmenting-path search alone fails.  Roots and
 neighbors are scanned in ascending index order, so the returned edge set is
 deterministic; only the matching number itself is canonical.
-
-``matching_oracle`` recomputes the matching number by include/exclude
-recursion over the edge list (memoized on the saturated-vertex bitmask) and
-is the independent cross-check for small graphs.
 """
 
 from __future__ import annotations
@@ -17,8 +13,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graphs import Edge, Graph
-
-ORACLE_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -134,34 +128,3 @@ def maximum_matching(g: Graph) -> MatchingResult:
     )
     saturated = frozenset(v for v in range(n) if match[v] != -1)
     return MatchingResult(edges, len(edges), saturated)
-
-
-def has_perfect_matching(g: Graph) -> bool:
-    """True iff every vertex is saturated by a maximum matching."""
-    return g.n % 2 == 0 and 2 * maximum_matching(g).mu == g.n
-
-
-def matching_oracle(g: Graph) -> int:
-    """Exact matching number by exhaustive include/exclude over edges (n <= 12)."""
-    if g.n > ORACLE_MAX_N:
-        raise ValueError(f"oracle supports n <= {ORACLE_MAX_N}, got {g.n}")
-    edges = sorted(g.edges)
-    memo: dict[tuple[int, int], int] = {}
-
-    def best_from(i: int, used: int) -> int:
-        if i == len(edges):
-            return 0
-        key = (i, used)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        u, v = edges[i]
-        result = best_from(i + 1, used)
-        if not used & (1 << u) and not used & (1 << v):
-            result = max(
-                result, 1 + best_from(i + 1, used | (1 << u) | (1 << v))
-            )
-        memo[key] = result
-        return result
-
-    return best_from(0, 0)

@@ -1,4 +1,5 @@
-"""Hermitian adjacency matrices, eigenvalues, energy, and closed forms.
+"""Hermitian adjacency matrices, eigenvalues, energy, and the Kronecker
+spectrum check.
 
 The adjacency matrix of a gain graph has A[u, v] = gain(u, v) on edges and
 zeros elsewhere; the gain inverse invariant makes it Hermitian, so its
@@ -14,8 +15,7 @@ reference either way.
 
 Tolerance ladder (each layer absorbs the noise of the one below):
     1e-12  Hermitian/construction checks
-    1e-8   eigenpair and singular-pair residuals, characteristic-polynomial
-           realness
+    1e-8   eigenpair and singular-pair residuals
     1e-7   Kronecker spectrum multiset matching and energy doubling
 """
 
@@ -26,13 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphs
-from .gains import GainGraph, all_ones, gain_graph, kronecker, unit
-from .graphs import Graph, cycle_graph
+from .gains import GainGraph, all_ones, kronecker
+from .graphs import Graph
 
 HERMITIAN_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
 KRONECKER_TOL = 1e-7
-CHAR_POLY_MAX_N = 12
 # One complex n x n matrix at this order is 268 MB, and a solve holds several.
 DENSE_MAX_ORDER = 4096
 
@@ -226,53 +225,6 @@ def spectrum(phi: GainGraph) -> Spectrum:
 def energy(phi: GainGraph) -> float:
     """Sum of the absolute eigenvalues of the adjacency matrix."""
     return spectrum(phi).energy
-
-
-def char_poly(a: np.ndarray) -> np.ndarray:
-    """Coefficients of det(lambda I - A), leading coefficient first.
-
-    Computed by the Faddeev-LeVerrier recurrence, independently of the
-    eigensolver; for Hermitian input the coefficients are real (checked to
-    1e-8).  Intended for desk-scale verification, so n <= 12.
-    """
-    a = np.asarray(a, dtype=complex)
-    _require_hermitian(a)
-    n = a.shape[0]
-    if n > CHAR_POLY_MAX_N:
-        raise ValueError(f"char_poly supports n <= {CHAR_POLY_MAX_N}, got {n}")
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    m = np.zeros_like(a)
-    for k in range(1, n + 1):
-        m = a @ m + coeffs[k - 1] * np.eye(n)
-        coeffs[k] = -np.trace(a @ m) / k
-    if n and np.max(np.abs(coeffs.imag)) > 1e-8:
-        raise RuntimeError("characteristic polynomial is not real within 1e-8")
-    return coeffs.real
-
-
-def four_cycle_gain_graph(a: complex, b: complex) -> GainGraph:
-    """The 4-cycle 0-1-2-3-0 with gains gain(0,1)=1, gain(1,2)=a,
-    gain(2,3)=1, gain(3,0)=b."""
-    a, b = unit(a), unit(b)
-    return gain_graph(
-        cycle_graph(4),
-        {(0, 1): 1.0, (1, 2): a, (2, 3): 1.0, (0, 3): b.conjugate()},
-    )
-
-
-def four_cycle_energy(a: complex, b: complex) -> float:
-    """Closed-form energy of the 4-cycle above, as a function of x = Re(a*b):
-
-        2*sqrt(2 + sqrt(2 + 2x)) + 2*sqrt(2 - sqrt(2 + 2x))
-
-    which is >= 4 with equality exactly at x = 1.  x is clamped to [-1, 1]
-    to guard the inner square root against rounding overshoot.
-    """
-    a, b = unit(a), unit(b)
-    x = min(1.0, max(-1.0, (a * b).real))
-    s = np.sqrt(2.0 + 2.0 * x)
-    return float(2.0 * np.sqrt(2.0 + s) + 2.0 * np.sqrt(max(0.0, 2.0 - s)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,22 +23,27 @@ import sys
 
 import numpy as np
 
-from conftest import all_simple_cycles, balanced_by_all_cycles, petersen
+from conftest import (
+    all_simple_cycles,
+    balanced_by_all_cycles,
+    char_poly,
+    four_cycle_energy,
+    four_cycle_gain_graph,
+    matching_oracle,
+    petersen,
+    structured_perturbations,
+)
 from gainspec import (
     adjacency,
     all_ones,
     bound_report,
-    char_poly,
     chorded_six_cycle,
     complete_bipartite,
     complete_graph,
     energy,
-    four_cycle_energy,
-    four_cycle_gain_graph,
     gnp_graph,
     is_balanced,
     kronecker_spectrum_check,
-    matching_oracle,
     maximum_matching,
     random_gain_graph,
     random_switching,
@@ -46,12 +51,7 @@ from gainspec import (
     switch,
     unit_from_angle,
 )
-from gainspec.corpus import (
-    extremal_union,
-    part_multisets,
-    random_gain_corpus,
-    structured_perturbations,
-)
+from gainspec.corpus import extremal_union, part_multisets, random_gain_corpus
 
 CORPUS_SEED = 20240
 CORPUS = random_gain_corpus(CORPUS_SEED, count=1000, nmax=10)

@@ -15,6 +15,7 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
+from conftest import disjoint_union
 from gainspec import (
     GainGraph,
     Graph,
@@ -89,7 +90,7 @@ def rotate_edge(phi, k, delta):
 
 def _cases():
     rng = random.Random(11)
-    blocks = graphs.disjoint_union(complete_bipartite(30, 30), complete_bipartite(20, 20))
+    blocks = disjoint_union(complete_bipartite(30, 30), complete_bipartite(20, 20))
     dense = gnp_graph(100, 1.0, rng)  # 4950 edges
     cases = {
         "balanced K_tt union": switched(blocks, rng),

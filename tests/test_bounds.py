@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import disjoint_union
 from gainspec import (
     all_ones,
     bound_report,
@@ -20,7 +21,6 @@ from gainspec import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     empty_graph,
     gnp_graph,
     is_extremal_structure,

@@ -132,6 +132,31 @@ def test_lemmas_rejects_nmax_below_two(capsys, nmax):
     assert captured.out == "" and "--nmax" in captured.err
 
 
+def test_lemma_corpus_order_needs_no_list_of_orders():
+    # an order list up to nmax would be petabytes here
+    orders = [phi.graph.n for phi in corpus.random_gain_corpus(0, 3, 10**15)]
+    assert orders == [2, 3, 4]
+    orders = [phi.graph.n for phi in corpus.random_gain_corpus(0, 7, 4)]
+    assert orders == [2, 3, 4, 2, 3, 4, 2]
+
+
+def test_lemmas_accepts_a_huge_nmax(capsys):
+    code, out, _ = run_cli(
+        capsys, "lemmas", "--trials", "1", "--nmax", "1000000000000000"
+    )
+    assert code == 0 and json.loads(out)["ok"]
+
+
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "lemma_suite_report", exhausted)
+    code, out, err = run_cli(capsys, "lemmas", "--trials", "1")
+    assert code == 2 and out == ""
+    assert err == "gainspec: out of memory\n"
+
+
 def test_generate_knn_content(capsys):
     code, out, _ = run_cli(capsys, "generate", "knn", "3")
     assert code == 0

@@ -16,7 +16,6 @@ from conftest import (
 from gainspec import (
     SwitchingFunction,
     all_ones,
-    bipartite_double,
     chorded_six_cycle,
     complete_graph,
     cycle_gain,
@@ -281,7 +280,7 @@ def test_kronecker_of_all_ones_is_all_ones():
 
 
 def test_bipartite_double_of_triangle_is_plain_hexagon():
-    doubled = bipartite_double(all_ones(cycle_graph(3)))
+    doubled = kronecker(all_ones(cycle_graph(3)), complete_graph(2))
     assert doubled.graph == Graph.from_edges(
         6, [(0, 3), (0, 5), (1, 2), (1, 4), (2, 5), (3, 4)]
     )

@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from conftest import has_odd_cycle_bruteforce
+from conftest import disjoint_union, has_odd_cycle_bruteforce
 from gainspec import (
     Graph,
     bipartition,
@@ -14,7 +14,6 @@ from gainspec import (
     components,
     cycle_graph,
     delete_edges,
-    disjoint_union,
     edge_cut,
     empty_graph,
     gnp_graph,
@@ -119,7 +118,7 @@ def test_bipartition_basics():
 
     bip = bipartition(chorded_six_cycle())
     assert bip.is_bipartite
-    x, y = bip.sides_of(0)
+    x, y = ([v for v in bip.components[0] if bip.side[v] == s] for s in (0, 1))
     assert {len(x), len(y)} == {3}
 
 

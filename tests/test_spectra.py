@@ -8,22 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import adjacency_oracle, energy_oracle
+from conftest import (
+    adjacency_oracle,
+    char_poly,
+    disjoint_union,
+    energy_oracle,
+    four_cycle_energy,
+    four_cycle_gain_graph,
+)
 from gainspec import (
     Graph,
     adjacency,
     all_ones,
-    char_poly,
     chorded_six_cycle,
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     eigenvalues,
     empty_graph,
     energy,
-    four_cycle_energy,
-    four_cycle_gain_graph,
     gnp_graph,
     induced_gain_subgraph,
     kronecker_spectrum_check,
