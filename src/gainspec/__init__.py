@@ -47,6 +47,7 @@ from .spectra import (
     eigenvalues,
     energy,
     kronecker_spectrum_check,
+    spectra_of,
     spectrum,
 )
 from .matching import (

@@ -13,25 +13,57 @@ The ``check_*`` functions stress the supporting inequalities on the
 ``LemmaReport`` values: instance counts, violations (always expected empty),
 skip reasons for inputs that fail a precondition, and the worst margin
 observed.  ``run_lemma_suite`` drives all of them over seeded corpora,
-analysing each instance once.
+analysing each instance once, in windows: each window draws its instances,
+solves them in one batch per order, then judges them.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, TypeVar
 
 from . import corpus, gains, graphs
 from .gains import BalanceCertificate, GainGraph, is_balanced
-from .graphs import Graph, bipartition, edge_cut, induced_subgraph, is_connected
+from .graphs import Edge, Graph, bipartition, edge_cut, induced_subgraph, is_connected
 from .matching import maximum_matching
-from .spectra import Spectrum, energy, spectrum
+from .spectra import Spectrum, energy, spectra_of, spectrum
 
 GAP_TIGHT_TOL = 1e-6     # "numerically tight" threshold on energy - 2*mu
 STRICT_MARGIN = 1e-8     # strict inequalities must clear this
+
+# Steps in one window of the lemma suite.  A window's instances are drawn,
+# solved in one batch per order, then judged, so memory follows the window,
+# not the trial count.
+_WINDOW = 64
+
+T = TypeVar("T")
+
+
+def _windows(items: Iterable[T]) -> Iterator[list[T]]:
+    """``items`` in consecutive lists of ``_WINDOW``."""
+    it = iter(items)
+    while window := list(itertools.islice(it, _WINDOW)):
+        yield window
+
+
+# A window's derived instances (cut remainders and split subgraphs) are built
+# before its batched solve; the checkers derive them through these same
+# memos, so they get the instances that were solved, with the spectra cached
+# on them.  A window derives at most _WINDOW of each, so twice that keeps
+# every one until it is judged.
+@functools.lru_cache(maxsize=2 * _WINDOW)
+def _cut_remainder(phi: GainGraph, cut: frozenset[Edge]) -> GainGraph:
+    return gains.delete_gain_edges(phi, cut)
+
+
+@functools.lru_cache(maxsize=2 * _WINDOW)
+def _induced(phi: GainGraph, vs: tuple[int, ...]) -> GainGraph:
+    return gains.induced_gain_subgraph(phi, vs)
 
 
 @dataclass(frozen=True)
@@ -215,7 +247,7 @@ def check_edge_cut_lemma(
     cut = edge_cut(rep.phi.graph, vs)
     drop = 0.0  # an empty cut leaves the matrix unchanged: reuse the solve
     if cut:
-        drop = rep.energy - energy(gains.delete_gain_edges(rep.phi, cut))
+        drop = rep.energy - energy(_cut_remainder(rep.phi, cut))
     report.record(drop)
     if drop < -STRICT_MARGIN:
         report.violate(f"energy rose by {-drop:.3e} after deleting a cut")
@@ -258,12 +290,12 @@ def check_c6tilde_lemma(
     if maximum_matching(g).mu != 3:
         report.violate("chorded six-cycle must have matching number 3")
         return report
-    for _ in range(trials):
-        phi = gains.random_gain_graph(g, rng)
-        margin = energy(phi) - 6.0
-        report.record(margin)
-        if margin <= STRICT_MARGIN:
-            report.violate(f"energy only 6 + {margin:.3e}")
+    for window in _windows(gains.random_gain_graph(g, rng) for _ in range(trials)):
+        for spec in spectra_of(window):
+            margin = spec.energy - 6.0
+            report.record(margin)
+            if margin <= STRICT_MARGIN:
+                report.violate(f"energy only 6 + {margin:.3e}")
     return report
 
 
@@ -316,9 +348,8 @@ def check_subgraph_lemma(
     for tight instances, the full gap otherwise."""
     report = report or LemmaReport(SUBGRAPH)
     inside = set(vs)
-    vs = sorted(inside)
     g = rep.phi.graph
-    phi1 = gains.induced_gain_subgraph(rep.phi, vs)
+    phi1 = _induced(rep.phi, tuple(sorted(inside)))
     g1 = phi1.graph
     g2, _ = induced_subgraph(g, [v for v in range(g.n) if v not in inside])
     mu1 = maximum_matching(g1).mu
@@ -379,12 +410,25 @@ def check_balance_lemma(
 C6_TRIAL_FACTOR = (5, 2)
 
 
+def _reports(phis: Iterable[GainGraph]) -> Iterator[BoundReport]:
+    """``bound_report`` of each gain graph, solved a window at a time."""
+    for window in _windows(phis):
+        spectra_of(window)
+        yield from map(bound_report, window)
+
+
 def run_lemma_suite(
     seed: int = 42, trials: int = 200, nmax: int = 10
 ) -> list[LemmaReport]:
     """Run every lemma sweep over seeded corpora; deterministic in seed.
     Each instance gets one ``bound_report``, judged by every lemma visiting it.
-    A negative ``trials`` raises ``ValueError``."""
+    A negative ``trials`` raises ``ValueError``.
+
+    The sweeps run in windows of ``_WINDOW`` steps: a window draws its
+    instances, solves them and their derived instances in one batch per
+    order, then judges them.  No draw depends on a solve (cut sets, splits,
+    trees and gains come from their own streams), so the instances and the
+    reports do not depend on the window."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     master = random.Random(seed)
@@ -392,16 +436,18 @@ def run_lemma_suite(
     def sub_rng() -> random.Random:
         return random.Random(master.randrange(2**32))
 
-    base = corpus.random_gain_corpus(master.randrange(2**32), trials, nmax)
+    base = corpus.iter_random_gain_corpus(master.randrange(2**32), trials, nmax)
     rng_extremal = sub_rng()
-    extremal: list[BoundReport] = []
     parts_pool = corpus.part_multisets(6)
-    for k in range(max(trials // 8, 1) if trials else 0):
-        parts = parts_pool[k % len(parts_pool)]
-        phi = corpus.extremal_union(
-            parts, isolated=rng_extremal.randrange(3), switch_seed=rng_extremal
+    unions = [
+        corpus.extremal_union(
+            parts_pool[k % len(parts_pool)],
+            isolated=rng_extremal.randrange(3),
+            switch_seed=rng_extremal,
         )
-        extremal.append(bound_report(phi))
+        for k in range(max(trials // 8, 1) if trials else 0)
+    ]
+    extremal = list(_reports(unions))
 
     reports = {name: LemmaReport(name) for name in LEMMA_ORDER}
     rng_cut, rng_tree, rng_c6, rng_split, rng_bal = (sub_rng() for _ in range(5))
@@ -409,37 +455,52 @@ def run_lemma_suite(
     # and can draw the same split again: judge each distinct pair once
     splits: dict[tuple[int, tuple[int, ...]], LemmaReport] = {}
 
-    # len(base) == trials: base instance k is step k of every base sweep.
-    for k, phi in enumerate(base):
-        rep = bound_report(phi)
-        n = phi.graph.n
-        if k % 3 == 0 and n:
-            vs: Sequence[int] = [rng_cut.randrange(n)]  # singleton: star cut
-        else:
-            vs = rng_cut.sample(range(n), rng_cut.randint(0, n))
-        check_edge_cut_lemma(rep, vs, reports[EDGE_CUT])
-        check_perfect_matching_lemma([rep], reports[PERFECT_MATCHING])
-        check_nonbipartite_lemma([rep], reports[NONBIPARTITE])
-        if extremal and k % 2 == 0:
-            j = (k // 2) % len(extremal)
-            split = corpus.component_split(extremal[j].phi.graph, rng_split)
-            if split is None:
+    # base instance k is step k of every base sweep
+    for window in _windows(enumerate(base)):
+        steps, derived = [], []
+        for k, phi in window:
+            n = phi.graph.n
+            if k % 3 == 0 and n:
+                cut_vs = [rng_cut.randrange(n)]  # singleton: star cut
+            else:
+                cut_vs = rng_cut.sample(range(n), rng_cut.randint(0, n))
+            cut = edge_cut(phi.graph, cut_vs)
+            if cut:
+                derived.append(_cut_remainder(phi, cut))
+            j = None
+            if extremal and k % 2 == 0:
+                j = (k // 2) % len(extremal)
+                split = corpus.component_split(extremal[j].phi.graph, rng_split)
+                if split is not None and (j, split) not in splits:
+                    derived.append(_induced(extremal[j].phi, split))
+            else:
+                split = rng_split.sample(range(n), rng_split.randint(0, n))
+            steps.append((phi, cut_vs, j, split))
+        spectra_of([phi for _, phi in window] + derived)
+
+        for phi, cut_vs, j, split in steps:
+            rep = bound_report(phi)
+            check_edge_cut_lemma(rep, cut_vs, reports[EDGE_CUT])
+            check_perfect_matching_lemma([rep], reports[PERFECT_MATCHING])
+            check_nonbipartite_lemma([rep], reports[NONBIPARTITE])
+            if j is None:
+                check_subgraph_lemma(rep, split, reports[SUBGRAPH])
+            elif split is None:
                 reports[SUBGRAPH].skip("single component, no proper split")
             else:
                 if (j, split) not in splits:
                     splits[j, split] = check_subgraph_lemma(extremal[j], split)
                 reports[SUBGRAPH].merge(splits[j, split])
-        else:
-            vs = rng_split.sample(range(n), rng_split.randint(0, n))
-            check_subgraph_lemma(rep, vs, reports[SUBGRAPH])
-        check_balance_lemma([rep], reports[BALANCE])
+            check_balance_lemma([rep], reports[BALANCE])
 
-    for k in range(trials):
-        n = 3 + k % max(nmax - 2, 1)
-        tree = corpus.random_tree(n, rng_tree)
-        check_pendant_lemma(
-            bound_report(gains.random_gain_graph(tree, rng_tree)), reports[PENDANT]
+    trees = (
+        gains.random_gain_graph(
+            corpus.random_tree(3 + k % max(nmax - 2, 1), rng_tree), rng_tree
         )
+        for k in range(trials)
+    )
+    for rep in _reports(trees):
+        check_pendant_lemma(rep, reports[PENDANT])
 
     check_c6tilde_lemma(
         rng_c6,
@@ -461,6 +522,6 @@ def run_lemma_suite(
                 gains.set_gain(phi, 0, t, gains.unit_from_angle(0.25 * math.pi))
             )
     if trials:
-        check_balance_lemma(map(bound_report, balance_extras), reports[BALANCE])
+        check_balance_lemma(_reports(balance_extras), reports[BALANCE])
 
     return [reports[name] for name in LEMMA_ORDER]

@@ -10,7 +10,7 @@ switching (which preserves balance and the spectrum).
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import gains, graphs
 from .gains import GainGraph
@@ -21,15 +21,18 @@ DEFAULT_EDGE_PROBS = (0.3, 0.5, 0.8)
 
 def random_gain_corpus(seed: int, count: int, nmax: int) -> list[GainGraph]:
     """``count`` random gain graphs on 2..nmax vertices, deterministic in seed."""
+    return list(iter_random_gain_corpus(seed, count, nmax))
+
+
+def iter_random_gain_corpus(seed: int, count: int, nmax: int) -> Iterator[GainGraph]:
+    """The graphs of ``random_gain_corpus``, drawn one at a time."""
     rng = random.Random(seed)
     span = max(nmax, 2) - 1  # the number of orders in 2..nmax
-    corpus = []
     for k in range(count):
         n = 2 + k % span
         p = DEFAULT_EDGE_PROBS[(k // span) % len(DEFAULT_EDGE_PROBS)]
         g = graphs.gnp_graph(n, p, rng)
-        corpus.append(gains.random_gain_graph(g, rng))
-    return corpus
+        yield gains.random_gain_graph(g, rng)
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:

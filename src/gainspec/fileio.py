@@ -202,12 +202,15 @@ def _parse_lines(text: str) -> GainGraph:
 
 
 def serialize_gain_graph(phi: GainGraph, comment: str | None = None) -> str:
+    """The ``ugg`` text of ``phi``, edges in ascending (u, v) order."""
     lines = []
     if comment:
         lines.extend(f"# {c}" for c in comment.splitlines())
     lines.append(f"ugg {phi.graph.n}")
-    for u, v in sorted(phi.graph.edges):
-        lines.append(f"{u} {v} {gain_angle(phi.forward[(u, v)]):.17g}")
+    us, vs = phi.graph._edge_array
+    # gain_angle per edge: numpy's angle differs from it in the last bit
+    angles = map(gain_angle, phi._gain_array.tolist())
+    lines.extend(map("{} {} {:.17g}".format, us.tolist(), vs.tolist(), angles))
     return "\n".join(lines) + "\n"
 
 

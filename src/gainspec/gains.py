@@ -20,12 +20,13 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import Edge, Graph
+from .graphs import Edge, Graph, _read_only
 from . import graphs
 
 UNIT_INPUT_TOL = 1e-6   # how far from |z| = 1 an input may be before we refuse
@@ -89,12 +90,17 @@ class GainGraph:
 
     @cached_property
     def _gain_array(self) -> np.ndarray:
-        """Read-only forward gains aligned with ``graph._edge_array``."""
-        us, vs = self.graph._edge_array
-        keys = zip(us.tolist(), vs.tolist())
-        gains = np.fromiter(map(self.forward.__getitem__, keys), complex, len(us))
-        gains.flags.writeable = False
-        return gains
+        """Read-only forward gains aligned with ``graph._edge_array``, in
+        ascending (u, v) order.  Sorting the forward keys needs no lookup
+        per edge, and fills the graph's array too when it has none."""
+        m = len(self.forward)
+        ends = np.fromiter(chain.from_iterable(self.forward), np.intp, 2 * m)
+        us, vs = ends[0::2], ends[1::2]
+        order = np.argsort(us * self.graph.n + vs)
+        self.graph.__dict__.setdefault(
+            "_edge_array", (_read_only(us[order]), _read_only(vs[order]))
+        )
+        return _read_only(np.fromiter(self.forward.values(), complex, m)[order])
 
     def gain(self, u: int, v: int) -> complex:
         """Gain of the ordered edge (u, v); the reverse orientation conjugates."""

@@ -22,6 +22,7 @@ Tolerance ladder (each layer absorbs the noise of the one below):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -52,13 +53,6 @@ class Spectrum:
         return (Spectrum, (self.eigenvalues, self.energy))
 
 
-def _descending_spectrum(ascending: np.ndarray) -> Spectrum:
-    """The spectrum of eigenvalues given in ascending order, held in a
-    descending copy."""
-    vals = ascending[::-1].copy()
-    return Spectrum(vals, float(np.sum(np.abs(vals))))
-
-
 def _require_dense_order(n: int) -> None:
     if n > DENSE_MAX_ORDER:
         raise ValueError(f"order {n} exceeds the dense limit {DENSE_MAX_ORDER}")
@@ -78,13 +72,64 @@ def adjacency(phi: GainGraph) -> np.ndarray:
     return a
 
 
-def _require_hermitian(a: np.ndarray) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has a non-finite entry")
-    if a.size and np.max(np.abs(a - a.conj().T)) > HERMITIAN_TOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
+def _one_call(
+    solver: Callable[[np.ndarray], tuple], stack: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """``solver`` (a numpy.linalg routine) on a stack of matrices in one call.
+    A stack of one reaches it as its 2-D matrix, as an unbatched solve would."""
+    if len(stack) == 1:
+        return tuple(x[None] for x in solver(stack[0]))
+    return tuple(solver(stack))
+
+
+def _fail_first(
+    bad: np.ndarray, error: type[Exception], message: Callable[[int], str]
+) -> None:
+    """Raise ``error`` for the first matrix of a stack flagged in ``bad``;
+    ``message(k)`` describes matrix k, and the text names k when the stack
+    holds more than one matrix."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = f"matrix {k} of {len(bad)}: " if len(bad) > 1 else ""
+        raise error(where + message(k))
+
+
+def _eigh(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of each Hermitian matrix in a stack (k, n, n),
+    from one LAPACK call.  Every matrix is checked as ``eigenvalues`` checks
+    one: finite entries, Hermitian within 1e-12, and every eigenpair's
+    residual ||A v - lambda v|| <= 1e-8 * ||A||_2."""
+    k, n = stack.shape[:2]
+    if n == 0:
+        return np.empty((k, 0))
+    _fail_first(
+        ~np.isfinite(stack).all(axis=(1, 2)), ValueError,
+        lambda i: "matrix has a non-finite entry",
+    )
+    asymmetry = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
+    _fail_first(
+        asymmetry > HERMITIAN_TOL, ValueError,
+        lambda i: "matrix is not Hermitian within tolerance",
+    )
+    vals, vecs = _one_call(np.linalg.eigh, stack)
+    scale = np.max(np.abs(vals), axis=1)
+    residual = np.max(
+        np.linalg.norm(stack @ vecs - vecs * vals[:, None, :], axis=1), axis=1
+    )
+    _fail_first(
+        (scale > 0.0) & (residual > RESIDUAL_TOL * scale), RuntimeError,
+        lambda i: f"eigensolver residual {residual[i]:.3e} exceeds "
+        f"{RESIDUAL_TOL:.0e} * ||A||",
+    )
+    return vals
+
+
+def _descending_spectra(ascending: np.ndarray) -> list[Spectrum]:
+    """The spectra of the rows of ``ascending`` (k, n), each held in a
+    descending copy."""
+    vals = ascending[:, ::-1].copy()
+    energies = np.sum(np.abs(vals), axis=1).tolist()
+    return [Spectrum(v, e) for v, e in zip(vals, energies)]
 
 
 def eigenvalues(a: np.ndarray) -> Spectrum:
@@ -94,42 +139,33 @@ def eigenvalues(a: np.ndarray) -> Spectrum:
     the residual contract ||A v - lambda v|| <= 1e-8 * ||A||_2 per pair.
     """
     a = np.asarray(a, dtype=complex)
-    _require_hermitian(a)
-    if a.shape[0] == 0:
-        return _descending_spectrum(np.empty(0))
-    vals, vecs = np.linalg.eigh(a)
-    scale = float(np.max(np.abs(vals)))
-    if scale > 0.0:
-        residuals = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
-        if np.max(residuals) > RESIDUAL_TOL * scale:
-            raise RuntimeError(
-                f"eigensolver residual {np.max(residuals):.3e} exceeds "
-                f"{RESIDUAL_TOL:.0e} * ||A||"
-            )
-    return _descending_spectrum(vals)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return _descending_spectra(_eigh(a[None]))[0]
 
 
 def _singular_values(b: np.ndarray) -> np.ndarray:
-    """Singular values of a nonzero block, descending, with every singular
-    pair verified: ||B v_i - sigma_i u_i|| and ||B* u_i - sigma_i v_i|| <=
-    1e-8 * ||B||_2 for the full U and V, so kernel vectors are checked too
-    (sigma_i = 0 beyond min(p, q))."""
-    u, s, vh = np.linalg.svd(b)
-    v = vh.conj().T
-    r = len(s)
+    """Singular values, descending, of each nonzero block in a stack
+    (k, p, q), from one LAPACK call, with every singular pair verified:
+    ||B v_i - sigma_i u_i|| and ||B* u_i - sigma_i v_i|| <= 1e-8 * ||B||_2
+    for the full U and V, so kernel vectors are checked too (sigma_i = 0
+    beyond min(p, q))."""
+    u, s, vh = _one_call(np.linalg.svd, b)
+    v = vh.conj().swapaxes(1, 2)
+    r = s.shape[1]
     bv = b @ v
-    bv[:, :r] -= u[:, :r] * s
-    bu = b.conj().T @ u
-    bu[:, :r] -= v[:, :r] * s
-    residual = max(
-        float(np.max(np.linalg.norm(bv, axis=0))),
-        float(np.max(np.linalg.norm(bu, axis=0))),
+    bv[:, :, :r] -= u[:, :, :r] * s[:, None, :]
+    bu = b.conj().swapaxes(1, 2) @ u
+    bu[:, :, :r] -= v[:, :, :r] * s[:, None, :]
+    residual = np.maximum(
+        np.max(np.linalg.norm(bv, axis=1), axis=1),
+        np.max(np.linalg.norm(bu, axis=1), axis=1),
     )
-    if residual > RESIDUAL_TOL * s[0]:
-        raise RuntimeError(
-            f"singular value residual {residual:.3e} exceeds "
-            f"{RESIDUAL_TOL:.0e} * ||B||"
-        )
+    _fail_first(
+        residual > RESIDUAL_TOL * s[:, 0], RuntimeError,
+        lambda i: f"singular value residual {residual[i]:.3e} exceeds "
+        f"{RESIDUAL_TOL:.0e} * ||B||",
+    )
     return s
 
 
@@ -137,9 +173,10 @@ def _component_eigenvalues(phi: GainGraph) -> np.ndarray:
     """Eigenvalues of A, unsorted, solved one component at a time.
 
     Each block is built from the cached edge and gain arrays directly,
-    never the n x n matrix: a bipartite component as its side-0 x side-1 biadjacency block,
-    any other as its own Hermitian block.  Isolated vertices and the
-    |p - q| kernel of a bipartite block are exact zeros.
+    never the n x n matrix: a bipartite component as its side-0 x side-1
+    biadjacency block, any other as its own Hermitian block.  Blocks of one
+    kind and shape are stacked and solved in one call.  Isolated vertices
+    and the |p - q| kernel of a bipartite block are exact zeros.
     """
     g = phi.graph
     bip = g._bipartition
@@ -166,29 +203,90 @@ def _component_eigenvalues(phi: GainGraph) -> np.ndarray:
     cols = pos_arr[np.where(flip, us, vs)]
     z = np.where(flip, z.conj(), z)
     edge_comp = comp_arr[us]
-    order = np.argsort(edge_comp, kind="stable")
-    starts = np.searchsorted(edge_comp[order], np.arange(len(shapes) + 1))
+
+    # stack the blocks with edges by kind and shape; slot[k] is block k's
+    # place in its stack
+    stacks: dict[tuple[bool, int, int], list[int]] = {}
+    for k in np.flatnonzero(np.bincount(edge_comp, minlength=len(shapes))).tolist():
+        stacks.setdefault((bip.exists[k], *shapes[k]), []).append(k)
+    stack_of = np.zeros(len(shapes), dtype=np.intp)
+    slot = np.zeros(len(shapes), dtype=np.intp)
+    for j, members in enumerate(stacks.values()):
+        stack_of[members] = j
+        slot[members] = np.arange(len(members))
+    edge_stack = stack_of[edge_comp]
+    order = np.argsort(edge_stack, kind="stable")
+    starts = np.searchsorted(edge_stack[order], np.arange(len(stacks) + 1))
 
     vals = np.zeros(g.n)
     filled = 0
-    for k, (p, q) in enumerate(shapes):
-        block_edges = order[starts[k] : starts[k + 1]]
-        if not len(block_edges):
-            continue
-        r, c, w = rows[block_edges], cols[block_edges], z[block_edges]
-        if bip.exists[k]:
-            b = np.zeros((p, q), dtype=complex)
-            b[r, c] = w
-            s = _singular_values(b)
-            part = np.concatenate([s, -s])
+    for j, ((bipartite, p, q), members) in enumerate(stacks.items()):
+        e = order[starts[j] : starts[j + 1]]
+        at, r, c, w = slot[edge_comp[e]], rows[e], cols[e], z[e]
+        blocks = np.zeros((len(members), p, q if bipartite else p), dtype=complex)
+        blocks[at, r, c] = w
+        if bipartite:
+            s = _singular_values(blocks)
+            part = np.concatenate([s, -s], axis=1)
         else:
-            a = np.zeros((p, p), dtype=complex)
-            a[r, c] = w
-            a[c, r] = w.conj()
-            part = eigenvalues(a).eigenvalues
-        vals[filled : filled + len(part)] = part
-        filled += len(part)
+            blocks[at, c, r] = w.conj()
+            part = _eigh(blocks)
+        vals[filled : filled + part.size] = part.ravel()
+        filled += part.size
     return vals
+
+
+def _check_sums(specs: Sequence[Spectrum], n: int, sizes: Sequence[int]) -> None:
+    """The sanity checks of ``spectrum`` on the spectra of gain graphs of
+    order n with ``sizes`` edges: for a gain graph the eigenvalues must sum
+    to 0 (zero diagonal) and their squares to 2m (unit-modulus off-diagonal
+    entries)."""
+    vals = np.stack([s.eigenvalues for s in specs])
+    _fail_first(
+        np.abs(np.sum(vals, axis=1)) > 1e-8 * n, RuntimeError,
+        lambda i: "spectrum sanity: eigenvalue sum is not ~0",
+    )
+    _fail_first(
+        np.abs(np.sum(vals**2, axis=1) - 2.0 * np.asarray(sizes)) > 1e-7 * n,
+        RuntimeError,
+        lambda i: "spectrum sanity: sum of squares is not ~2m",
+    )
+
+
+# A gain graph is immutable, so its verified spectrum is cached on it, as
+# its edge and gain arrays are.
+_SPECTRUM = "_spectrum"
+
+
+def spectra_of(phis: Iterable[GainGraph]) -> list[Spectrum]:
+    """The spectrum of each gain graph, as ``spectrum`` gives it, with one
+    solve per order for the graphs below ``graphs.ARRAY_MIN_ORDER``: their
+    adjacency matrices are stacked and go to LAPACK in one call, and every
+    matrix keeps every check of ``eigenvalues``.  Each result is cached on
+    its graph, so ``spectrum`` and later batches return it unsolved."""
+    phis = list(phis)
+    stacks: dict[int, dict[int, GainGraph]] = {}
+    for phi in phis:
+        if _SPECTRUM in phi.__dict__:
+            continue
+        n, m = phi.graph.n, phi.graph.m
+        _require_dense_order(n)
+        if m == 0:
+            phi.__dict__[_SPECTRUM] = _descending_spectra(np.zeros((1, n)))[0]
+        elif n < graphs.ARRAY_MIN_ORDER:
+            stacks.setdefault(n, {})[id(phi)] = phi
+        else:
+            vals = np.sort(_component_eigenvalues(phi))[None]
+            (spec,) = _descending_spectra(vals)
+            _check_sums([spec], n, [m])
+            phi.__dict__[_SPECTRUM] = spec
+    for n, members in stacks.items():
+        group = list(members.values())
+        specs = _descending_spectra(_eigh(np.stack([adjacency(phi) for phi in group])))
+        _check_sums(specs, n, [phi.graph.m for phi in group])
+        for phi, spec in zip(group, specs):
+            phi.__dict__[_SPECTRUM] = spec
+    return [phi.__dict__[_SPECTRUM] for phi in phis]
 
 
 def spectrum(phi: GainGraph) -> Spectrum:
@@ -196,30 +294,21 @@ def spectrum(phi: GainGraph) -> Spectrum:
 
     Dispatch, all under the order limit ``DENSE_MAX_ORDER`` on n:
       * no edges: all zeros, no solve;
-      * n < ``graphs.ARRAY_MIN_ORDER``: ``eigenvalues(adjacency(phi))``, one
-        dense solve with every eigenpair residual-checked;
-      * otherwise one solve per component with edges: the singular values
-        of the biadjacency block of a bipartite component, every singular
-        pair (kernel vectors included) residual-checked against 1e-8 times
-        that block's norm; ``eigenvalues`` of the block of any other.
+      * n < ``graphs.ARRAY_MIN_ORDER``: the eigenvalues of ``adjacency(phi)``,
+        one dense solve with every eigenpair residual-checked;
+      * otherwise one solve per kind and shape of component with edges: the
+        singular values of the biadjacency blocks of bipartite components,
+        every singular pair (kernel vectors included) residual-checked
+        against 1e-8 times that block's norm; the eigenvalues of the blocks
+        of any other, checked as ``eigenvalues`` checks a matrix.
 
     For a gain graph the eigenvalues must sum to 0 (zero diagonal) and their
     squares must sum to 2m (unit-modulus off-diagonal entries); both are
-    asserted on the assembled spectrum after every solve.
+    asserted on the assembled spectrum after every solve.  The result is
+    cached on ``phi``; ``spectra_of`` solves many graphs at once.
     """
-    n, m = phi.graph.n, phi.graph.m
-    _require_dense_order(n)
-    if m == 0:
-        return _descending_spectrum(np.zeros(n))
-    if n < graphs.ARRAY_MIN_ORDER:
-        spec = eigenvalues(adjacency(phi))
-    else:
-        spec = _descending_spectrum(np.sort(_component_eigenvalues(phi)))
-    if abs(float(np.sum(spec.eigenvalues))) > 1e-8 * n:
-        raise RuntimeError("spectrum sanity: eigenvalue sum is not ~0")
-    if abs(float(np.sum(spec.eigenvalues**2)) - 2.0 * m) > 1e-7 * n:
-        raise RuntimeError("spectrum sanity: sum of squares is not ~2m")
-    return spec
+    cached = phi.__dict__.get(_SPECTRUM)
+    return cached if cached is not None else spectra_of([phi])[0]
 
 
 def energy(phi: GainGraph) -> float:

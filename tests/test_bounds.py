@@ -540,3 +540,64 @@ def test_subgraph_lemma_judges_each_split_once(monkeypatch):
     subgraph = reports[LEMMA_ORDER.index(SUBGRAPH)]
     assert len(keys) < subgraph.instances + subgraph.skips
     assert (subgraph.instances, subgraph.skips) == (39, 1)
+
+
+def _report_fields(reports):
+    # worst_margin compared as a float: equal means equal bits here
+    return [
+        (r.lemma, r.instances, dict(r.skip_reasons), r.violations, r.worst_margin)
+        for r in reports
+    ]
+
+
+@pytest.mark.parametrize(
+    "seed, trials, nmax", [(0, 200, 10), (1, 200, 10), (2, 200, 10), (3, 200, 10),
+                           (1, 300, 16)]
+)
+def test_lemma_suite_does_not_depend_on_batching(monkeypatch, seed, trials, nmax):
+    from gainspec import bounds
+
+    batched = _report_fields(run_lemma_suite(seed=seed, trials=trials, nmax=nmax))
+    real_eigh = np.linalg.eigh
+
+    def one_at_a_time(a, *args, **kwargs):
+        if a.ndim == 2:
+            return real_eigh(a, *args, **kwargs)
+        pairs = [real_eigh(m, *args, **kwargs) for m in a]
+        return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", one_at_a_time)
+        assert _report_fields(run_lemma_suite(seed, trials, nmax)) == batched
+    # a window of one step draws, solves and judges each instance alone
+    monkeypatch.setattr(bounds, "_WINDOW", 1)
+    assert _report_fields(run_lemma_suite(seed, trials, nmax)) == batched
+
+
+def test_corpus_iterator_draws_the_corpus_list():
+    from gainspec.corpus import iter_random_gain_corpus, random_gain_corpus
+
+    def key(phi):
+        return phi.graph.n, phi.graph.edges, dict(phi.forward)
+
+    for seed, count, nmax in [(0, 0, 5), (3, 50, 7), (11, 130, 16), (5, 9, 2)]:
+        listed = random_gain_corpus(seed, count, nmax)
+        drawn = iter_random_gain_corpus(seed, count, nmax)
+        assert list(map(key, listed)) == list(map(key, drawn))
+        assert len(listed) == count
+
+
+def test_lemma_suite_batches_its_solves(monkeypatch):
+    # one LAPACK call per matrix would make calls == matrices
+    real_eigh = np.linalg.eigh
+    calls, matrices = [], []
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        matrices.append(1 if a.ndim == 2 else a.shape[0])
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    run_lemma_suite(seed=1, trials=200, nmax=10)
+    assert sum(matrices) > 1000
+    assert len(calls) < sum(matrices) / 4

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -7,13 +8,17 @@ from gainspec import (
     GainGraphParseError,
     all_ones,
     chorded_six_cycle,
+    empty_graph,
     gnp_graph,
     load_gain_graph,
     parse_gain_graph,
     random_gain_graph,
     save_gain_graph,
     serialize_gain_graph,
+    set_gain,
+    unit_from_angle,
 )
+from gainspec.corpus import extremal_union
 
 
 def test_round_trip_reproduces_gains():
@@ -240,3 +245,34 @@ def test_array_path_matches_line_loop_on_valid_files(n, data):
     )
     assert fileio._parse_canonical(text) is not None
     assert_same_parse(text)
+
+
+def _serialized_edge_by_edge(phi, comment=None):
+    """The ugg text, formatted one sorted edge at a time."""
+    lines = [f"# {c}" for c in comment.splitlines()] if comment else []
+    lines.append(f"ugg {phi.graph.n}")
+    for u, v in sorted(phi.graph.edges):
+        lines.append(f"{u} {v} {cmath.phase(phi.forward[(u, v)]):.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def _serialize_cases():
+    rng = random.Random(41)
+    switched = extremal_union([6, 4, 1], isolated=3, switch_seed=rng)
+    dense = random_gain_graph(gnp_graph(60, 0.4, rng), rng)
+    u, v = sorted(dense.graph.edges)[100]
+    perturbed = set_gain(dense, u, v, dense.gain(u, v) * unit_from_angle(1e-9))
+    edgeless = all_ones(empty_graph(4))
+    return [switched, dense, perturbed, edgeless, all_ones(empty_graph(0))]
+
+
+@pytest.mark.parametrize("comment", [None, "", "one line", "two\nlines"])
+def test_serialize_matches_the_edge_by_edge_form(comment):
+    for phi in _serialize_cases():
+        text = serialize_gain_graph(phi, comment)
+        assert text == _serialized_edge_by_edge(phi, comment)
+        # and on a graph whose arrays the parse filled
+        parsed = parse_gain_graph(text)
+        assert serialize_gain_graph(parsed, comment) == _serialized_edge_by_edge(
+            parsed, comment
+        )

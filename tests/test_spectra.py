@@ -457,3 +457,163 @@ def test_svd_residual_guard_checks_kernel_vectors(monkeypatch):
     with pytest.raises(RuntimeError, match="singular value residual"):
         spectrum(random_gain_graph(complete_bipartite(2, 3), 47))
     assert shapes == [(2, 3)]
+
+
+# ---------------------------------------------------------------------------
+# The batched verified solver.
+# ---------------------------------------------------------------------------
+
+
+def _random_graphs(orders, rng):
+    return [
+        random_gain_graph(gnp_graph(n, rng.choice((0.2, 0.5, 0.9)), rng), rng)
+        for n in orders
+    ]
+
+
+def _assert_bitwise_dense(phis, specs):
+    assert len(specs) == len(phis)
+    for phi, spec in zip(phis, specs):
+        dense = eigenvalues(adjacency(phi))
+        assert spec.eigenvalues.tobytes() == dense.eigenvalues.tobytes()
+        assert spec.energy == dense.energy
+
+
+@pytest.mark.parametrize("n", range(1, 32))
+def test_batch_equals_one_dense_solve_per_graph(n):
+    phis = _random_graphs([n] * 5, random.Random(n))
+    phis.append(random_gain_graph(complete_graph(n), n))
+    _assert_bitwise_dense(phis, spectra.spectra_of(phis))
+
+
+def test_mixed_order_batch_equals_one_dense_solve_per_graph():
+    rng = random.Random(53)
+    phis = _random_graphs([rng.randrange(1, 32) for _ in range(120)], rng)
+    phis += [phis[7], phis[7]]  # a repeated graph is solved once
+    _assert_bitwise_dense(phis, spectra.spectra_of(phis))
+
+
+def test_batch_solves_each_order_once_and_caches(monkeypatch):
+    rng = random.Random(59)
+    phis = _random_graphs([3, 5, 3, 5, 5, 4], rng)
+    phis.append(all_ones(empty_graph(6)))
+    real_eigh = np.linalg.eigh
+    shapes = []
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    specs = spectra.spectra_of(phis)
+    # a stack per order; the lone matrix of order 4 goes to LAPACK as itself
+    assert sorted(shapes) == [(2, 3, 3), (3, 5, 5), (4, 4)]
+    assert [spectrum(phi) for phi in phis] == specs
+    assert spectra.spectra_of(phis) == specs and len(shapes) == 3
+
+
+def test_empty_batch_and_edgeless_graphs_cost_no_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("reached LAPACK")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_solve)
+    assert spectra.spectra_of([]) == []
+    (spec,) = spectra.spectra_of([all_ones(empty_graph(7))])
+    assert np.array_equal(spec.eigenvalues, np.zeros(7)) and spec.energy == 0.0
+
+
+def _stack(count, n, seed):
+    rng = random.Random(seed)
+    return np.stack([adjacency(phi) for phi in _random_graphs([n] * count, rng)])
+
+
+def test_stack_with_a_non_finite_matrix_is_rejected():
+    stack = _stack(4, 5, 61)
+    stack[2, 1, 3] = complex(math.nan, 0.0)
+    with pytest.raises(ValueError, match="^matrix 2 of 4: matrix has a non-finite entry$"):
+        spectra._eigh(stack)
+
+
+def test_stack_with_a_non_hermitian_matrix_is_rejected():
+    stack = _stack(4, 5, 67)
+    stack[3, 0, 1] += 1e-9
+    with pytest.raises(ValueError, match="^matrix 3 of 4: matrix is not Hermitian"):
+        spectra._eigh(stack)
+
+
+@pytest.mark.parametrize("k", [0, 2, 5])
+def test_corrupt_eigenvectors_name_the_matrix(monkeypatch, k):
+    real_eigh = np.linalg.eigh
+
+    def corrupt(a, *args, **kwargs):
+        vals, vecs = real_eigh(a, *args, **kwargs)
+        vecs = vecs.copy()
+        vecs[k] = vecs[k][:, ::-1]  # unit vectors, but paired with the wrong values
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupt)
+    phis = _random_graphs([6] * 6, random.Random(71))
+    with pytest.raises(RuntimeError, match=f"^matrix {k} of 6: eigensolver residual"):
+        spectra.spectra_of(phis)
+
+
+@pytest.mark.usefixtures("array_paths")
+def test_per_component_path_stacks_blocks_of_one_shape(monkeypatch):
+    rng = random.Random(73)
+    g = empty_graph(0)
+    for block in [complete_bipartite(2, 3)] * 4 + [cycle_graph(3)] * 3 + [
+        complete_bipartite(3, 2),
+        cycle_graph(5),
+        empty_graph(2),
+    ]:
+        g = disjoint_union(g, block)
+    phi = random_gain_graph(g, rng)
+    real_eigh, real_svd = np.linalg.eigh, np.linalg.svd
+    calls = []
+
+    def counting(solver):
+        def call(a, *args, **kwargs):
+            calls.append((solver.__name__, a.shape))
+            return solver(a, *args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", counting(real_eigh))
+    monkeypatch.setattr(np.linalg, "svd", counting(real_svd))
+    spec = spectrum(phi)
+    assert sorted(calls) == [
+        ("eigh", (3, 3, 3)), ("eigh", (5, 5)), ("svd", (3, 2)), ("svd", (4, 2, 3)),
+    ]
+    _assert_matches_dense(phi)
+
+    # one block at a time gives the same values, bit for bit
+    def one_at_a_time(solver):
+        def call(a, *args, **kwargs):
+            if a.ndim == 2:
+                return solver(a, *args, **kwargs)
+            parts = [solver(block, *args, **kwargs) for block in a]
+            return tuple(np.stack(xs) for xs in zip(*parts))
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", one_at_a_time(real_eigh))
+    monkeypatch.setattr(np.linalg, "svd", one_at_a_time(real_svd))
+    fresh = random_gain_graph(g, random.Random(73))
+    assert spectrum(fresh).eigenvalues.tobytes() == spec.eigenvalues.tobytes()
+    assert spectrum(fresh).energy == spec.energy
+
+
+@pytest.mark.usefixtures("array_paths")
+def test_svd_residual_guard_names_the_block_in_a_stack(monkeypatch):
+    real_svd = np.linalg.svd
+
+    def wrong_kernel(b, *args, **kwargs):
+        u, s, vh = real_svd(b, *args, **kwargs)
+        vh = vh.copy()
+        vh[1, 2] = vh[1, 0]  # block 1: a unit vector, but not in the kernel
+        return u, s, vh
+
+    monkeypatch.setattr(np.linalg, "svd", wrong_kernel)
+    g = disjoint_union(complete_bipartite(2, 3), complete_bipartite(2, 3))
+    with pytest.raises(RuntimeError, match="^matrix 1 of 2: singular value residual"):
+        spectrum(random_gain_graph(g, 79))
