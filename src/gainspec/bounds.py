@@ -429,99 +429,103 @@ def run_lemma_suite(
     order, then judges them.  No draw depends on a solve (cut sets, splits,
     trees and gains come from their own streams), so the instances and the
     reports do not depend on the window."""
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
-    master = random.Random(seed)
+    try:
+        if trials < 0:
+            raise ValueError(f"trials must be >= 0, got {trials}")
+        master = random.Random(seed)
 
-    def sub_rng() -> random.Random:
-        return random.Random(master.randrange(2**32))
+        def sub_rng() -> random.Random:
+            return random.Random(master.randrange(2**32))
 
-    base = corpus.iter_random_gain_corpus(master.randrange(2**32), trials, nmax)
-    rng_extremal = sub_rng()
-    parts_pool = corpus.part_multisets(6)
-    unions = [
-        corpus.extremal_union(
-            parts_pool[k % len(parts_pool)],
-            isolated=rng_extremal.randrange(3),
-            switch_seed=rng_extremal,
-        )
-        for k in range(max(trials // 8, 1) if trials else 0)
-    ]
-    extremal = list(_reports(unions))
-
-    reports = {name: LemmaReport(name) for name in LEMMA_ORDER}
-    rng_cut, rng_tree, rng_c6, rng_split, rng_bal = (sub_rng() for _ in range(5))
-    # each extremal report comes up about trials / (2 * len(extremal)) times
-    # and can draw the same split again: judge each distinct pair once
-    splits: dict[tuple[int, tuple[int, ...]], LemmaReport] = {}
-
-    # base instance k is step k of every base sweep
-    for window in _windows(enumerate(base)):
-        steps, derived = [], []
-        for k, phi in window:
-            n = phi.graph.n
-            if k % 3 == 0 and n:
-                cut_vs = [rng_cut.randrange(n)]  # singleton: star cut
-            else:
-                cut_vs = rng_cut.sample(range(n), rng_cut.randint(0, n))
-            cut = edge_cut(phi.graph, cut_vs)
-            if cut:
-                derived.append(_cut_remainder(phi, cut))
-            j = None
-            if extremal and k % 2 == 0:
-                j = (k // 2) % len(extremal)
-                split = corpus.component_split(extremal[j].phi.graph, rng_split)
-                if split is not None and (j, split) not in splits:
-                    derived.append(_induced(extremal[j].phi, split))
-            else:
-                split = rng_split.sample(range(n), rng_split.randint(0, n))
-            steps.append((phi, cut_vs, j, split))
-        spectra_of([phi for _, phi in window] + derived)
-
-        for phi, cut_vs, j, split in steps:
-            rep = bound_report(phi)
-            check_edge_cut_lemma(rep, cut_vs, reports[EDGE_CUT])
-            check_perfect_matching_lemma([rep], reports[PERFECT_MATCHING])
-            check_nonbipartite_lemma([rep], reports[NONBIPARTITE])
-            if j is None:
-                check_subgraph_lemma(rep, split, reports[SUBGRAPH])
-            elif split is None:
-                reports[SUBGRAPH].skip("single component, no proper split")
-            else:
-                if (j, split) not in splits:
-                    splits[j, split] = check_subgraph_lemma(extremal[j], split)
-                reports[SUBGRAPH].merge(splits[j, split])
-            check_balance_lemma([rep], reports[BALANCE])
-
-    trees = (
-        gains.random_gain_graph(
-            corpus.random_tree(3 + k % max(nmax - 2, 1), rng_tree), rng_tree
-        )
-        for k in range(trials)
-    )
-    for rep in _reports(trees):
-        check_pendant_lemma(rep, reports[PENDANT])
-
-    check_c6tilde_lemma(
-        rng_c6,
-        trials * C6_TRIAL_FACTOR[0] // C6_TRIAL_FACTOR[1],
-        reports[CHORDED_HEXAGON],
-    )
-
-    check_perfect_matching_lemma(extremal, reports[PERFECT_MATCHING])
-
-    balance_extras: list[GainGraph] = []
-    for t in range(1, min(4, max(nmax // 2, 1)) + 1):
-        for _ in range(3):
-            balance_extras.append(
-                corpus.extremal_union([t], switch_seed=rng_bal)
+        base = corpus.iter_random_gain_corpus(master.randrange(2**32), trials, nmax)
+        rng_extremal = sub_rng()
+        parts_pool = corpus.part_multisets(6)
+        unions = [
+            corpus.extremal_union(
+                parts_pool[k % len(parts_pool)],
+                isolated=rng_extremal.randrange(3),
+                switch_seed=rng_extremal,
             )
-        phi = gains.all_ones(graphs.complete_bipartite(t, t))
-        if t >= 2:
-            balance_extras.append(
-                gains.set_gain(phi, 0, t, gains.unit_from_angle(0.25 * math.pi))
-            )
-    if trials:
-        check_balance_lemma(_reports(balance_extras), reports[BALANCE])
+            for k in range(max(trials // 8, 1) if trials else 0)
+        ]
+        extremal = list(_reports(unions))
 
-    return [reports[name] for name in LEMMA_ORDER]
+        reports = {name: LemmaReport(name) for name in LEMMA_ORDER}
+        rng_cut, rng_tree, rng_c6, rng_split, rng_bal = (sub_rng() for _ in range(5))
+        # each extremal report comes up about trials / (2 * len(extremal)) times
+        # and can draw the same split again: judge each distinct pair once
+        splits: dict[tuple[int, tuple[int, ...]], LemmaReport] = {}
+
+        # base instance k is step k of every base sweep
+        for window in _windows(enumerate(base)):
+            steps, derived = [], []
+            for k, phi in window:
+                n = phi.graph.n
+                if k % 3 == 0 and n:
+                    cut_vs = [rng_cut.randrange(n)]  # singleton: star cut
+                else:
+                    cut_vs = rng_cut.sample(range(n), rng_cut.randint(0, n))
+                cut = edge_cut(phi.graph, cut_vs)
+                if cut:
+                    derived.append(_cut_remainder(phi, cut))
+                j = None
+                if extremal and k % 2 == 0:
+                    j = (k // 2) % len(extremal)
+                    split = corpus.component_split(extremal[j].phi.graph, rng_split)
+                    if split is not None and (j, split) not in splits:
+                        derived.append(_induced(extremal[j].phi, split))
+                else:
+                    split = rng_split.sample(range(n), rng_split.randint(0, n))
+                steps.append((phi, cut_vs, j, split))
+            spectra_of([phi for _, phi in window] + derived)
+
+            for phi, cut_vs, j, split in steps:
+                rep = bound_report(phi)
+                check_edge_cut_lemma(rep, cut_vs, reports[EDGE_CUT])
+                check_perfect_matching_lemma([rep], reports[PERFECT_MATCHING])
+                check_nonbipartite_lemma([rep], reports[NONBIPARTITE])
+                if j is None:
+                    check_subgraph_lemma(rep, split, reports[SUBGRAPH])
+                elif split is None:
+                    reports[SUBGRAPH].skip("single component, no proper split")
+                else:
+                    if (j, split) not in splits:
+                        splits[j, split] = check_subgraph_lemma(extremal[j], split)
+                    reports[SUBGRAPH].merge(splits[j, split])
+                check_balance_lemma([rep], reports[BALANCE])
+
+        trees = (
+            gains.random_gain_graph(
+                corpus.random_tree(3 + k % max(nmax - 2, 1), rng_tree), rng_tree
+            )
+            for k in range(trials)
+        )
+        for rep in _reports(trees):
+            check_pendant_lemma(rep, reports[PENDANT])
+
+        check_c6tilde_lemma(
+            rng_c6,
+            trials * C6_TRIAL_FACTOR[0] // C6_TRIAL_FACTOR[1],
+            reports[CHORDED_HEXAGON],
+        )
+
+        check_perfect_matching_lemma(extremal, reports[PERFECT_MATCHING])
+
+        balance_extras: list[GainGraph] = []
+        for t in range(1, min(4, max(nmax // 2, 1)) + 1):
+            for _ in range(3):
+                balance_extras.append(
+                    corpus.extremal_union([t], switch_seed=rng_bal)
+                )
+            phi = gains.all_ones(graphs.complete_bipartite(t, t))
+            if t >= 2:
+                balance_extras.append(
+                    gains.set_gain(phi, 0, t, gains.unit_from_angle(0.25 * math.pi))
+                )
+        if trials:
+            check_balance_lemma(_reports(balance_extras), reports[BALANCE])
+
+        return [reports[name] for name in LEMMA_ORDER]
+    finally:  # the memos hold derived instances, their parents and spectra
+        _cut_remainder.cache_clear()
+        _induced.cache_clear()

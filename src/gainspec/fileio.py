@@ -207,9 +207,10 @@ def serialize_gain_graph(phi: GainGraph, comment: str | None = None) -> str:
     if comment:
         lines.extend(f"# {c}" for c in comment.splitlines())
     lines.append(f"ugg {phi.graph.n}")
-    us, vs = phi.graph._edge_array
+    # the gains first: on a graph without edge arrays, their one sort fills both
+    gains, (us, vs) = phi._gain_array, phi.graph._edge_array
     # gain_angle per edge: numpy's angle differs from it in the last bit
-    angles = map(gain_angle, phi._gain_array.tolist())
+    angles = map(gain_angle, gains.tolist())
     lines.extend(map("{} {} {:.17g}".format, us.tolist(), vs.tolist(), angles))
     return "\n".join(lines) + "\n"
 

@@ -20,7 +20,6 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -93,14 +92,10 @@ class GainGraph:
         """Read-only forward gains aligned with ``graph._edge_array``, in
         ascending (u, v) order.  Sorting the forward keys needs no lookup
         per edge, and fills the graph's array too when it has none."""
-        m = len(self.forward)
-        ends = np.fromiter(chain.from_iterable(self.forward), np.intp, 2 * m)
-        us, vs = ends[0::2], ends[1::2]
-        order = np.argsort(us * self.graph.n + vs)
-        self.graph.__dict__.setdefault(
-            "_edge_array", (_read_only(us[order]), _read_only(vs[order]))
-        )
-        return _read_only(np.fromiter(self.forward.values(), complex, m)[order])
+        order, ends = graphs._ascending_edges(self.forward, self.graph.n)
+        self.graph.__dict__.setdefault("_edge_array", ends)
+        gains = np.fromiter(self.forward.values(), complex, len(order))
+        return _read_only(gains[order])
 
     def gain(self, u: int, v: int) -> complex:
         """Gain of the ordered edge (u, v); the reverse orientation conjugates."""

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -74,11 +74,7 @@ class Graph:
     @cached_property
     def _edge_array(self) -> EdgeArrays:
         """Read-only endpoint arrays (us, vs) in ascending (u, v) order."""
-        ends = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * self.m)
-        us, vs = ends[0::2], ends[1::2]
-        # Any graph whose n-length lists fit in memory has n * n < 2**63.
-        order = np.argsort(us * self.n + vs)
-        return _read_only(us[order]), _read_only(vs[order])
+        return _ascending_edges(self.edges, self.n)[1]
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -159,6 +155,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _ascending_edges(pairs: Collection[Edge], n: int) -> tuple[np.ndarray, EdgeArrays]:
+    """The permutation that sorts the pairs (u, v), u < v < n, into
+    ascending order, and their read-only endpoint arrays in that order."""
+    ends = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * len(pairs))
+    us, vs = ends[0::2], ends[1::2]
+    # Any graph whose n-length lists fit in memory has n * n < 2**63.
+    order = np.argsort(us * n + vs)
+    return order, (_read_only(us[order]), _read_only(vs[order]))
+
+
+def _check_vertices(g: Graph, vs: Iterable[int]) -> None:
+    for v in vs:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
+
+
 @dataclass(frozen=True)
 class Bipartition:
     """Two-coloring produced by BFS, with a per-component feasibility flag.
@@ -182,9 +194,7 @@ def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int]
     Returns the graph and the old->new vertex relabeling map.
     """
     kept = sorted(set(vs))
-    for v in kept:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    _check_vertices(g, kept)
     relabel = {old: new for new, old in enumerate(kept)}
     edges = [
         (relabel[u], relabel[v])
@@ -211,9 +221,7 @@ def bipartition(g: Graph) -> Bipartition:
 def edge_cut(g: Graph, vs: Iterable[int]) -> frozenset[Edge]:
     """All edges with exactly one endpoint in ``vs``."""
     inside = set(vs)
-    for v in inside:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    _check_vertices(g, inside)
     return frozenset(e for e in g.edges if (e[0] in inside) != (e[1] in inside))
 
 

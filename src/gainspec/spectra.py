@@ -72,16 +72,6 @@ def adjacency(phi: GainGraph) -> np.ndarray:
     return a
 
 
-def _one_call(
-    solver: Callable[[np.ndarray], tuple], stack: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """``solver`` (a numpy.linalg routine) on a stack of matrices in one call.
-    A stack of one reaches it as its 2-D matrix, as an unbatched solve would."""
-    if len(stack) == 1:
-        return tuple(x[None] for x in solver(stack[0]))
-    return tuple(solver(stack))
-
-
 def _fail_first(
     bad: np.ndarray, error: type[Exception], message: Callable[[int], str]
 ) -> None:
@@ -111,7 +101,7 @@ def _eigh(stack: np.ndarray) -> np.ndarray:
         asymmetry > HERMITIAN_TOL, ValueError,
         lambda i: "matrix is not Hermitian within tolerance",
     )
-    vals, vecs = _one_call(np.linalg.eigh, stack)
+    vals, vecs = np.linalg.eigh(stack)
     scale = np.max(np.abs(vals), axis=1)
     residual = np.max(
         np.linalg.norm(stack @ vecs - vecs * vals[:, None, :], axis=1), axis=1
@@ -150,7 +140,7 @@ def _singular_values(b: np.ndarray) -> np.ndarray:
     ||B v_i - sigma_i u_i|| and ||B* u_i - sigma_i v_i|| <= 1e-8 * ||B||_2
     for the full U and V, so kernel vectors are checked too (sigma_i = 0
     beyond min(p, q))."""
-    u, s, vh = _one_call(np.linalg.svd, b)
+    u, s, vh = np.linalg.svd(b)
     v = vh.conj().swapaxes(1, 2)
     r = s.shape[1]
     bv = b @ v

@@ -601,3 +601,22 @@ def test_lemma_suite_batches_its_solves(monkeypatch):
     run_lemma_suite(seed=1, trials=200, nmax=10)
     assert sum(matrices) > 1000
     assert len(calls) < sum(matrices) / 4
+
+
+def test_lemma_suite_leaves_no_memos(monkeypatch):
+    from gainspec import bounds
+
+    memos = (bounds._cut_remainder, bounds._induced)
+    first = _report_fields(run_lemma_suite(seed=1, trials=300, nmax=16))
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0]
+    assert _report_fields(run_lemma_suite(seed=1, trials=300, nmax=16)) == first
+
+    # and when a run raises, once both memos hold instances
+    def fail(*args, **kwargs):
+        assert all(memo.cache_info().currsize for memo in memos)
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(bounds, "check_pendant_lemma", fail)
+    with pytest.raises(RuntimeError, match="stop"):
+        run_lemma_suite(seed=1, trials=300, nmax=16)
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0]

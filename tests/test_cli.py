@@ -386,7 +386,7 @@ def test_double_solves_its_input_once(capsys, monkeypatch, tmp_path):
     real_eigh = np.linalg.eigh
 
     def counting_eigh(a, *args, **kwargs):
-        calls.append(a.shape[0])
+        calls.append(a.shape[-1])
         return real_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from gainspec import (
+    GainGraph,
     GainGraphParseError,
+    Graph,
     all_ones,
     chorded_six_cycle,
     empty_graph,
@@ -276,3 +278,25 @@ def test_serialize_matches_the_edge_by_edge_form(comment):
         assert serialize_gain_graph(parsed, comment) == _serialized_edge_by_edge(
             parsed, comment
         )
+
+
+def test_serialize_sorts_a_fresh_gain_graph_once(monkeypatch):
+    from gainspec import graphs
+
+    real_sort = graphs._ascending_edges
+    sorts = []
+
+    def counting_sort(pairs, n):
+        sorts.append(n)
+        return real_sort(pairs, n)
+
+    rng = random.Random(43)
+    for phi in [extremal_union([20, 12], isolated=2, switch_seed=rng),
+                random_gain_graph(gnp_graph(40, 0.3, rng), rng)]:
+        expected = _serialized_edge_by_edge(phi, "c")
+        fresh = GainGraph(Graph(phi.graph.n, phi.graph.edges), dict(phi.forward))
+        with monkeypatch.context() as m:
+            m.setattr(graphs, "_ascending_edges", counting_sort)
+            assert serialize_gain_graph(fresh, "c") == expected
+        assert sorts == [phi.graph.n]
+        sorts.clear()

@@ -28,6 +28,7 @@ from gainspec import (
     empty_graph,
     energy,
     gnp_graph,
+    graphs,
     induced_gain_subgraph,
     kronecker_spectrum_check,
     maximum_matching,
@@ -450,13 +451,13 @@ def test_svd_residual_guard_checks_kernel_vectors(monkeypatch):
         u, s, vh = real_svd(b, *args, **kwargs)
         shapes.append(b.shape)
         vh = vh.copy()
-        vh[2] = vh[0]  # a unit vector, but not in the kernel of B
+        vh[:, 2] = vh[:, 0]  # a unit vector, but not in the kernel of B
         return u, s, vh
 
     monkeypatch.setattr(np.linalg, "svd", wrong_kernel)
     with pytest.raises(RuntimeError, match="singular value residual"):
         spectrum(random_gain_graph(complete_bipartite(2, 3), 47))
-    assert shapes == [(2, 3)]
+    assert shapes == [(1, 2, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +507,8 @@ def test_batch_solves_each_order_once_and_caches(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     specs = spectra.spectra_of(phis)
-    # a stack per order; the lone matrix of order 4 goes to LAPACK as itself
-    assert sorted(shapes) == [(2, 3, 3), (3, 5, 5), (4, 4)]
+    # a stack per order; the lone matrix of order 4 is a stack of one
+    assert sorted(shapes) == [(1, 4, 4), (2, 3, 3), (3, 5, 5)]
     assert [spectrum(phi) for phi in phis] == specs
     assert spectra.spectra_of(phis) == specs and len(shapes) == 3
 
@@ -582,7 +583,7 @@ def test_per_component_path_stacks_blocks_of_one_shape(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting(real_svd))
     spec = spectrum(phi)
     assert sorted(calls) == [
-        ("eigh", (3, 3, 3)), ("eigh", (5, 5)), ("svd", (3, 2)), ("svd", (4, 2, 3)),
+        ("eigh", (1, 5, 5)), ("eigh", (3, 3, 3)), ("svd", (1, 3, 2)), ("svd", (4, 2, 3)),
     ]
     _assert_matches_dense(phi)
 
@@ -617,3 +618,63 @@ def test_svd_residual_guard_names_the_block_in_a_stack(monkeypatch):
     g = disjoint_union(complete_bipartite(2, 3), complete_bipartite(2, 3))
     with pytest.raises(RuntimeError, match="^matrix 1 of 2: singular value residual"):
         spectrum(random_gain_graph(g, 79))
+
+
+# ---------------------------------------------------------------------------
+# A stack of one gives LAPACK's bits for its matrix.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 31, 40])
+def test_eigh_of_a_stack_of_one_is_the_matrix_solve(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = (x + x.conj().T) / 2
+        assert spectra._eigh(a[None])[0].tobytes() == np.linalg.eigh(a)[0].tobytes()
+    a = adjacency(random_gain_graph(gnp_graph(n, 0.5, random.Random(n)), n))
+    assert spectra._eigh(a[None])[0].tobytes() == np.linalg.eigh(a)[0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "p, q", [(1, 1), (1, 4), (4, 1), (3, 3), (2, 7), (9, 5), (20, 20)]
+)
+def test_svd_of_a_stack_of_one_is_the_matrix_solve(p, q):
+    rng = np.random.default_rng(100 * p + q)
+    for _ in range(3):
+        b = np.exp(2j * np.pi * rng.random((p, q))) * (rng.random((p, q)) < 0.6)
+        b[0, 0] = 1.0  # a nonzero block, as a component with edges has
+        assert (
+            spectra._singular_values(b[None])[0].tobytes()
+            == np.linalg.svd(b)[1].tobytes()
+        )
+
+
+def test_mixed_batch_takes_both_paths_and_solves_a_repeat_once(monkeypatch):
+    rng = random.Random(83)
+    small = _random_graphs([3, 7, 7, 12, 31], rng)
+    large = [
+        random_gain_graph(gnp_graph(n, p, rng), rng)
+        for n, p in [(32, 0.1), (45, 0.3), (64, 0.05)]
+    ]
+    large.append(
+        switch(all_ones(disjoint_union(complete_bipartite(20, 20), cycle_graph(5))),
+               random_switching(45, 89))
+    )
+    assert max(phi.graph.n for phi in small) < graphs.ARRAY_MIN_ORDER
+    assert min(phi.graph.n for phi in large) >= graphs.ARRAY_MIN_ORDER
+    phis = small[:2] + large + small[2:] + [large[1]]
+    real_component = spectra._component_eigenvalues
+    solved = []
+
+    def counting(phi):
+        solved.append(phi)
+        return real_component(phi)
+
+    monkeypatch.setattr(spectra, "_component_eigenvalues", counting)
+    specs = spectra.spectra_of(phis)
+    assert len(solved) == len(large) and {id(p) for p in solved} == set(map(id, large))
+    for phi, spec in zip(phis, specs):
+        fresh = spectrum(pickle.loads(pickle.dumps(phi)))
+        assert spec.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+        assert spec.energy == fresh.energy
