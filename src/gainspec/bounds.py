@@ -13,19 +13,20 @@ The ``check_*`` functions stress the supporting inequalities on the
 ``LemmaReport`` values: instance counts, violations (always expected empty),
 skip reasons for inputs that fail a precondition, and the worst margin
 observed.  ``run_lemma_suite`` drives all of them over seeded corpora,
-analysing each instance once, in windows: each window draws its instances,
-solves them in one batch per order, then judges them.
+analysing each instance once, in windows: each window draws its instances
+and builds their derived instances, solves them all in one batch per order,
+then judges them.  A derived instance travels with its step to the judge,
+so the suite keeps no state beyond the run.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, TypeVar
+from typing import Collection, Iterable, Iterator, TypeVar
 
 from . import corpus, gains, graphs
 from .gains import BalanceCertificate, GainGraph, is_balanced
@@ -49,21 +50,6 @@ def _windows(items: Iterable[T]) -> Iterator[list[T]]:
     it = iter(items)
     while window := list(itertools.islice(it, _WINDOW)):
         yield window
-
-
-# A window's derived instances (cut remainders and split subgraphs) are built
-# before its batched solve; the checkers derive them through these same
-# memos, so they get the instances that were solved, with the spectra cached
-# on them.  A window derives at most _WINDOW of each, so twice that keeps
-# every one until it is judged.
-@functools.lru_cache(maxsize=2 * _WINDOW)
-def _cut_remainder(phi: GainGraph, cut: frozenset[Edge]) -> GainGraph:
-    return gains.delete_gain_edges(phi, cut)
-
-
-@functools.lru_cache(maxsize=2 * _WINDOW)
-def _induced(phi: GainGraph, vs: tuple[int, ...]) -> GainGraph:
-    return gains.induced_gain_subgraph(phi, vs)
 
 
 @dataclass(frozen=True)
@@ -243,11 +229,18 @@ def check_edge_cut_lemma(
 ) -> LemmaReport:
     """Deleting an edge cut never raises the energy; a star cut strictly
     lowers it.  Margin: energy drop."""
-    report = report or LemmaReport(EDGE_CUT)
     cut = edge_cut(rep.phi.graph, vs)
-    drop = 0.0  # an empty cut leaves the matrix unchanged: reuse the solve
-    if cut:
-        drop = rep.energy - energy(_cut_remainder(rep.phi, cut))
+    remainder = gains.delete_gain_edges(rep.phi, cut) if cut else rep.phi
+    return _judge_cut(rep, cut, remainder, report or LemmaReport(EDGE_CUT))
+
+
+def _judge_cut(
+    rep: BoundReport, cut: frozenset[Edge], remainder: GainGraph, report: LemmaReport
+) -> LemmaReport:
+    """``check_edge_cut_lemma`` on ``remainder``, which is ``rep.phi`` minus
+    ``cut``, or ``rep.phi`` itself for an empty cut: its cached solve gives
+    a drop of exactly 0.0."""
+    drop = rep.energy - energy(remainder)
     report.record(drop)
     if drop < -STRICT_MARGIN:
         report.violate(f"energy rose by {-drop:.3e} after deleting a cut")
@@ -346,10 +339,17 @@ def check_subgraph_lemma(
     and its complement, tightness propagates to the subgraph, which then
     cannot be the 4-path or the chorded six-cycle.  Margin: the subgraph gap
     for tight instances, the full gap otherwise."""
-    report = report or LemmaReport(SUBGRAPH)
     inside = set(vs)
+    phi1 = gains.induced_gain_subgraph(rep.phi, sorted(inside))
+    return _judge_split(rep, inside, phi1, report or LemmaReport(SUBGRAPH))
+
+
+def _judge_split(
+    rep: BoundReport, inside: Collection[int], phi1: GainGraph, report: LemmaReport
+) -> LemmaReport:
+    """``check_subgraph_lemma`` on ``phi1``, the subgraph of ``rep.phi``
+    induced on ``inside``."""
     g = rep.phi.graph
-    phi1 = _induced(rep.phi, tuple(sorted(inside)))
     g1 = phi1.graph
     g2, _ = induced_subgraph(g, [v for v in range(g.n) if v not in inside])
     mu1 = maximum_matching(g1).mu
@@ -425,107 +425,101 @@ def run_lemma_suite(
     A negative ``trials`` raises ``ValueError``.
 
     The sweeps run in windows of ``_WINDOW`` steps: a window draws its
-    instances, solves them and their derived instances in one batch per
-    order, then judges them.  No draw depends on a solve (cut sets, splits,
-    trees and gains come from their own streams), so the instances and the
-    reports do not depend on the window."""
-    try:
-        if trials < 0:
-            raise ValueError(f"trials must be >= 0, got {trials}")
-        master = random.Random(seed)
+    instances and builds their derived instances (cut remainders and the
+    split subgraphs of extremal unions) once per visit, solves them in one
+    batch per order, then judges them; nothing derived outlives its window.
+    No draw depends on a solve (cut sets, splits, trees and gains come from
+    their own streams), so the instances and the reports do not depend on
+    the window."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    master = random.Random(seed)
 
-        def sub_rng() -> random.Random:
-            return random.Random(master.randrange(2**32))
+    def sub_rng() -> random.Random:
+        return random.Random(master.randrange(2**32))
 
-        base = corpus.iter_random_gain_corpus(master.randrange(2**32), trials, nmax)
-        rng_extremal = sub_rng()
-        parts_pool = corpus.part_multisets(6)
-        unions = [
-            corpus.extremal_union(
-                parts_pool[k % len(parts_pool)],
-                isolated=rng_extremal.randrange(3),
-                switch_seed=rng_extremal,
-            )
-            for k in range(max(trials // 8, 1) if trials else 0)
-        ]
-        extremal = list(_reports(unions))
-
-        reports = {name: LemmaReport(name) for name in LEMMA_ORDER}
-        rng_cut, rng_tree, rng_c6, rng_split, rng_bal = (sub_rng() for _ in range(5))
-        # each extremal report comes up about trials / (2 * len(extremal)) times
-        # and can draw the same split again: judge each distinct pair once
-        splits: dict[tuple[int, tuple[int, ...]], LemmaReport] = {}
-
-        # base instance k is step k of every base sweep
-        for window in _windows(enumerate(base)):
-            steps, derived = [], []
-            for k, phi in window:
-                n = phi.graph.n
-                if k % 3 == 0 and n:
-                    cut_vs = [rng_cut.randrange(n)]  # singleton: star cut
-                else:
-                    cut_vs = rng_cut.sample(range(n), rng_cut.randint(0, n))
-                cut = edge_cut(phi.graph, cut_vs)
-                if cut:
-                    derived.append(_cut_remainder(phi, cut))
-                j = None
-                if extremal and k % 2 == 0:
-                    j = (k // 2) % len(extremal)
-                    split = corpus.component_split(extremal[j].phi.graph, rng_split)
-                    if split is not None and (j, split) not in splits:
-                        derived.append(_induced(extremal[j].phi, split))
-                else:
-                    split = rng_split.sample(range(n), rng_split.randint(0, n))
-                steps.append((phi, cut_vs, j, split))
-            spectra_of([phi for _, phi in window] + derived)
-
-            for phi, cut_vs, j, split in steps:
-                rep = bound_report(phi)
-                check_edge_cut_lemma(rep, cut_vs, reports[EDGE_CUT])
-                check_perfect_matching_lemma([rep], reports[PERFECT_MATCHING])
-                check_nonbipartite_lemma([rep], reports[NONBIPARTITE])
-                if j is None:
-                    check_subgraph_lemma(rep, split, reports[SUBGRAPH])
-                elif split is None:
-                    reports[SUBGRAPH].skip("single component, no proper split")
-                else:
-                    if (j, split) not in splits:
-                        splits[j, split] = check_subgraph_lemma(extremal[j], split)
-                    reports[SUBGRAPH].merge(splits[j, split])
-                check_balance_lemma([rep], reports[BALANCE])
-
-        trees = (
-            gains.random_gain_graph(
-                corpus.random_tree(3 + k % max(nmax - 2, 1), rng_tree), rng_tree
-            )
-            for k in range(trials)
+    base = corpus.iter_random_gain_corpus(master.randrange(2**32), trials, nmax)
+    rng_extremal = sub_rng()
+    parts_pool = corpus.part_multisets(6)
+    unions = [
+        corpus.extremal_union(
+            parts_pool[k % len(parts_pool)],
+            isolated=rng_extremal.randrange(3),
+            switch_seed=rng_extremal,
         )
-        for rep in _reports(trees):
-            check_pendant_lemma(rep, reports[PENDANT])
+        for k in range(max(trials // 8, 1) if trials else 0)
+    ]
+    extremal = list(_reports(unions))
 
-        check_c6tilde_lemma(
-            rng_c6,
-            trials * C6_TRIAL_FACTOR[0] // C6_TRIAL_FACTOR[1],
-            reports[CHORDED_HEXAGON],
+    reports = {name: LemmaReport(name) for name in LEMMA_ORDER}
+    rng_cut, rng_tree, rng_c6, rng_split, rng_bal = (sub_rng() for _ in range(5))
+
+    # base instance k is step k of every base sweep
+    for window in _windows(enumerate(base)):
+        steps, batch = [], []
+        for k, phi in window:
+            n = phi.graph.n
+            if k % 3 == 0:
+                cut_vs = [rng_cut.randrange(n)]  # singleton: star cut
+            else:
+                cut_vs = rng_cut.sample(range(n), rng_cut.randint(0, n))
+            cut = edge_cut(phi.graph, cut_vs)
+            remainder = gains.delete_gain_edges(phi, cut) if cut else phi
+            batch += (phi, remainder)
+            owner = sub = None
+            if extremal and k % 2 == 0:
+                owner = extremal[(k // 2) % len(extremal)]
+                inside = corpus.component_split(owner.phi.graph, rng_split)
+                if inside is not None:
+                    sub = gains.induced_gain_subgraph(owner.phi, inside)
+                    batch.append(sub)
+            else:
+                inside = rng_split.sample(range(n), rng_split.randint(0, n))
+            steps.append((phi, cut, remainder, owner, inside, sub))
+        spectra_of(batch)
+
+        for phi, cut, remainder, owner, inside, sub in steps:
+            rep = bound_report(phi)
+            _judge_cut(rep, cut, remainder, reports[EDGE_CUT])
+            check_perfect_matching_lemma([rep], reports[PERFECT_MATCHING])
+            check_nonbipartite_lemma([rep], reports[NONBIPARTITE])
+            if owner is None:
+                check_subgraph_lemma(rep, inside, reports[SUBGRAPH])
+            elif sub is None:
+                reports[SUBGRAPH].skip("single component, no proper split")
+            else:
+                _judge_split(owner, inside, sub, reports[SUBGRAPH])
+            check_balance_lemma([rep], reports[BALANCE])
+
+    trees = (
+        gains.random_gain_graph(
+            corpus.random_tree(3 + k % max(nmax - 2, 1), rng_tree), rng_tree
         )
+        for k in range(trials)
+    )
+    for rep in _reports(trees):
+        check_pendant_lemma(rep, reports[PENDANT])
 
-        check_perfect_matching_lemma(extremal, reports[PERFECT_MATCHING])
+    check_c6tilde_lemma(
+        rng_c6,
+        trials * C6_TRIAL_FACTOR[0] // C6_TRIAL_FACTOR[1],
+        reports[CHORDED_HEXAGON],
+    )
 
-        balance_extras: list[GainGraph] = []
-        for t in range(1, min(4, max(nmax // 2, 1)) + 1):
-            for _ in range(3):
-                balance_extras.append(
-                    corpus.extremal_union([t], switch_seed=rng_bal)
-                )
-            phi = gains.all_ones(graphs.complete_bipartite(t, t))
-            if t >= 2:
-                balance_extras.append(
-                    gains.set_gain(phi, 0, t, gains.unit_from_angle(0.25 * math.pi))
-                )
-        if trials:
-            check_balance_lemma(_reports(balance_extras), reports[BALANCE])
+    check_perfect_matching_lemma(extremal, reports[PERFECT_MATCHING])
 
-        return [reports[name] for name in LEMMA_ORDER]
-    finally:  # the memos hold derived instances, their parents and spectra
-        _cut_remainder.cache_clear()
-        _induced.cache_clear()
+    balance_extras: list[GainGraph] = []
+    for t in range(1, min(4, max(nmax // 2, 1)) + 1):
+        for _ in range(3):
+            balance_extras.append(
+                corpus.extremal_union([t], switch_seed=rng_bal)
+            )
+        phi = gains.all_ones(graphs.complete_bipartite(t, t))
+        if t >= 2:
+            balance_extras.append(
+                gains.set_gain(phi, 0, t, gains.unit_from_angle(0.25 * math.pi))
+            )
+    if trials:
+        check_balance_lemma(_reports(balance_extras), reports[BALANCE])
+
+    return [reports[name] for name in LEMMA_ORDER]

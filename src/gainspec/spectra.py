@@ -169,6 +169,8 @@ def _component_eigenvalues(phi: GainGraph) -> np.ndarray:
     and the |p - q| kernel of a bipartite block are exact zeros.
     """
     g = phi.graph
+    # the gains first: on a graph without edge arrays, their one sort fills both
+    z = phi._gain_array
     bip = g._bipartition
     side = bip.side
     # position of each vertex within its block: its side of a bipartite
@@ -184,7 +186,6 @@ def _component_eigenvalues(phi: GainGraph) -> np.ndarray:
             counts[half] += 1
         shapes.append(counts)
     us, vs = g._edge_array
-    z = phi._gain_array
     comp_arr, pos_arr = np.array(comp_of), np.array(pos)
     # orient every edge from side 0 to side 1 (A[v, u] = conj(A[u, v])); a
     # non-bipartite block sets both entries, so orientation is immaterial there

@@ -1,7 +1,9 @@
+import ast
 import cmath
 import math
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -328,3 +330,23 @@ def test_gains_are_immutable_after_construction():
     store[(0, 1)] = 1j
     assert psi.gain(0, 1) == 1.0
     assert dict(pickle.loads(pickle.dumps(psi)).forward) == dict(psi.forward)
+
+
+def test_the_package_keeps_no_global_memo():
+    # caches live on immutable values (cached_property, the cached
+    # Spectrum); a functools memo would keep its arguments alive past a run
+    import gainspec
+
+    memos = {"lru_cache", "cache"}
+    found = []
+    for path in sorted(Path(gainspec.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = {alias.name for alias in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "functools"):
+                names = {node.attr}
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names & memos]
+    assert found == []

@@ -678,3 +678,29 @@ def test_mixed_batch_takes_both_paths_and_solves_a_repeat_once(monkeypatch):
         fresh = spectrum(pickle.loads(pickle.dumps(phi)))
         assert spec.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
         assert spec.energy == fresh.energy
+
+
+def test_analysis_sorts_an_in_memory_gain_graph_once(monkeypatch):
+    from gainspec import bound_report
+
+    real_sort = graphs._ascending_edges
+    sorts = []
+
+    def counting_sort(pairs, n):
+        sorts.append(n)
+        return real_sort(pairs, n)
+
+    def fresh():
+        rng = random.Random(5)
+        return [extremal_union([20, 16], isolated=3, switch_seed=1),
+                random_gain_graph(gnp_graph(40, 0.2, rng), rng)]
+
+    monkeypatch.setattr(graphs, "_ascending_edges", counting_sort)
+    for phi in fresh():
+        bound_report(phi)
+        assert sorts == [phi.graph.n]
+        sorts.clear()
+    for phi in fresh():
+        kronecker_spectrum_check(phi, complete_graph(2))
+        assert sorts == [phi.graph.n, 2 * phi.graph.n]
+        sorts.clear()
