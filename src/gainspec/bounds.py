@@ -8,15 +8,14 @@ bipartite blocks plus isolated vertices).  The two verdicts must always
 agree; ``consistent`` records that.  The report also carries the gain
 graph, the spectrum and the balance certificate it was computed from.
 
-The ``check_*`` functions stress the supporting inequalities on the
-``BoundReport`` of single instances or corpora and accumulate into
-``LemmaReport`` values: instance counts, violations (always expected empty),
-skip reasons for inputs that fail a precondition, and the worst margin
-observed.  ``run_lemma_suite`` drives all of them over seeded corpora,
-analysing each instance once, in windows: each window draws its instances
-and builds their derived instances, solves them all in one batch per order,
-then judges them.  A derived instance travels with its step to the judge,
-so the suite keeps no state beyond the run.
+The ``check_*`` functions stress the supporting inequalities and accumulate
+into ``LemmaReport`` values: instance counts, violations (always expected
+empty), skip reasons for inputs that fail a precondition, and the worst
+margin observed.  Every checker but ``check_c6tilde_lemma``, which draws its
+own instances, takes a stream of ``BoundReport`` values or of (report,
+vertex set) cases; the edge-cut and subgraph checkers build and solve their
+derived instances a window at a time.  ``run_lemma_suite`` analyses each
+drawn instance once and hands each window of reports to every checker.
 """
 
 from __future__ import annotations
@@ -26,11 +25,11 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator, TypeVar
 
 from . import corpus, gains, graphs
 from .gains import BalanceCertificate, GainGraph, is_balanced
-from .graphs import Edge, Graph, bipartition, edge_cut, induced_subgraph, is_connected
+from .graphs import Graph, bipartition, edge_cut, induced_subgraph, is_connected
 from .matching import maximum_matching
 from .spectra import Spectrum, energy, spectra_of, spectrum
 
@@ -225,50 +224,50 @@ LEMMA_ORDER = (
 
 
 def check_edge_cut_lemma(
-    rep: BoundReport, vs: Iterable[int], report: LemmaReport | None = None
+    cases: Iterable[tuple[BoundReport, Iterable[int]]],
+    report: LemmaReport | None = None,
 ) -> LemmaReport:
     """Deleting an edge cut never raises the energy; a star cut strictly
-    lowers it.  Margin: energy drop."""
-    cut = edge_cut(rep.phi.graph, vs)
-    remainder = gains.delete_gain_edges(rep.phi, cut) if cut else rep.phi
-    return _judge_cut(rep, cut, remainder, report or LemmaReport(EDGE_CUT))
-
-
-def _judge_cut(
-    rep: BoundReport, cut: frozenset[Edge], remainder: GainGraph, report: LemmaReport
-) -> LemmaReport:
-    """``check_edge_cut_lemma`` on ``remainder``, which is ``rep.phi`` minus
-    ``cut``, or ``rep.phi`` itself for an empty cut: its cached solve gives
-    a drop of exactly 0.0."""
-    drop = rep.energy - energy(remainder)
-    report.record(drop)
-    if drop < -STRICT_MARGIN:
-        report.violate(f"energy rose by {-drop:.3e} after deleting a cut")
-    elif cut and edge_set_is_star(cut) and drop <= STRICT_MARGIN:
-        report.violate(f"star cut failed strictness (drop {drop:.3e})")
+    lowers it.  Each case is a report and the vertex set whose cut is
+    deleted.  A window's remainders are solved in one batch; an empty cut
+    keeps ``rep.phi``, whose cached solve gives a drop of exactly 0.0.
+    Margin: energy drop."""
+    report = report or LemmaReport(EDGE_CUT)
+    for window in _windows(cases):
+        cuts = [(rep, edge_cut(rep.phi.graph, vs)) for rep, vs in window]
+        remainders = [gains.delete_gain_edges(rep.phi, cut) if cut else rep.phi
+                      for rep, cut in cuts]
+        for (rep, cut), spec in zip(cuts, spectra_of(remainders)):
+            drop = rep.energy - spec.energy
+            report.record(drop)
+            if drop < -STRICT_MARGIN:
+                report.violate(f"energy rose by {-drop:.3e} after deleting a cut")
+            elif cut and edge_set_is_star(cut) and drop <= STRICT_MARGIN:
+                report.violate(f"star cut failed strictness (drop {drop:.3e})")
     return report
 
 
 def check_pendant_lemma(
-    rep: BoundReport, report: LemmaReport | None = None
+    members: Iterable[BoundReport], report: LemmaReport | None = None
 ) -> LemmaReport:
     """Connected with a pendant vertex (n >= 3) forces a strictly positive
     gap.  Margin: the gap."""
     report = report or LemmaReport(PENDANT)
-    g = rep.phi.graph
-    if g.n < 3:
-        report.skip("fewer than 3 vertices")
-        return report
-    if not is_connected(g):
-        report.skip("not connected")
-        return report
-    if not graphs.pendant_vertices(g):
-        report.skip("no pendant vertex")
-        return report
-    margin = rep.gap
-    report.record(margin)
-    if margin <= STRICT_MARGIN:
-        report.violate(f"pendant instance has gap {margin:.3e}")
+    for rep in members:
+        g = rep.phi.graph
+        if g.n < 3:
+            report.skip("fewer than 3 vertices")
+            continue
+        if not is_connected(g):
+            report.skip("not connected")
+            continue
+        if not graphs.pendant_vertices(g):
+            report.skip("no pendant vertex")
+            continue
+        margin = rep.gap
+        report.record(margin)
+        if margin <= STRICT_MARGIN:
+            report.violate(f"pendant instance has gap {margin:.3e}")
     return report
 
 
@@ -333,42 +332,44 @@ def check_nonbipartite_lemma(
 
 
 def check_subgraph_lemma(
-    rep: BoundReport, vs: Iterable[int], report: LemmaReport | None = None
+    cases: Iterable[tuple[BoundReport, Iterable[int]]],
+    report: LemmaReport | None = None,
 ) -> LemmaReport:
     """When the matching number splits additively across an induced subgraph
     and its complement, tightness propagates to the subgraph, which then
-    cannot be the 4-path or the chorded six-cycle.  Margin: the subgraph gap
+    cannot be the 4-path or the chorded six-cycle.  Each case is a report
+    and the vertex set that induces the subgraph; a window's subgraphs of
+    tight, additive cases are solved in one batch.  Margin: the subgraph gap
     for tight instances, the full gap otherwise."""
-    inside = set(vs)
-    phi1 = gains.induced_gain_subgraph(rep.phi, sorted(inside))
-    return _judge_split(rep, inside, phi1, report or LemmaReport(SUBGRAPH))
-
-
-def _judge_split(
-    rep: BoundReport, inside: Collection[int], phi1: GainGraph, report: LemmaReport
-) -> LemmaReport:
-    """``check_subgraph_lemma`` on ``phi1``, the subgraph of ``rep.phi``
-    induced on ``inside``."""
-    g = rep.phi.graph
-    g1 = phi1.graph
-    g2, _ = induced_subgraph(g, [v for v in range(g.n) if v not in inside])
-    mu1 = maximum_matching(g1).mu
-    if rep.mu != mu1 + maximum_matching(g2).mu:
-        report.skip("matching number not additive over the split")
-        return report
-    if not rep.numerically_tight:
-        report.record(rep.gap)
-        return report
-    sub_gap = energy(phi1) - 2.0 * mu1
-    report.record(sub_gap)
-    if sub_gap > GAP_TIGHT_TOL:
-        report.violate(
-            f"tight graph has non-tight induced subgraph (gap {sub_gap:.3e})"
-        )
-    if is_four_path(g1):
-        report.violate("tight graph splits off a 4-path")
-    if is_chorded_hexagon(g1):
-        report.violate("tight graph splits off a chorded six-cycle")
+    report = report or LemmaReport(SUBGRAPH)
+    for window in _windows(cases):
+        splits, tight = [], []
+        for rep, vs in window:
+            inside = set(vs)
+            g = rep.phi.graph
+            phi1 = gains.induced_gain_subgraph(rep.phi, sorted(inside))
+            g2, _ = induced_subgraph(g, [v for v in range(g.n) if v not in inside])
+            mu1 = maximum_matching(phi1.graph).mu
+            additive = rep.mu == mu1 + maximum_matching(g2).mu
+            splits.append((rep, phi1, mu1, additive))
+            if additive and rep.numerically_tight:
+                tight.append(phi1)
+        spectra_of(tight)
+        for rep, phi1, mu1, additive in splits:
+            if not additive:
+                report.skip("matching number not additive over the split")
+            elif not rep.numerically_tight:
+                report.record(rep.gap)
+            else:
+                sub_gap = energy(phi1) - 2.0 * mu1
+                report.record(sub_gap)
+                if sub_gap > GAP_TIGHT_TOL:
+                    report.violate("tight graph has non-tight induced subgraph "
+                                   f"(gap {sub_gap:.3e})")
+                if is_four_path(phi1.graph):
+                    report.violate("tight graph splits off a 4-path")
+                if is_chorded_hexagon(phi1.graph):
+                    report.violate("tight graph splits off a chorded six-cycle")
     return report
 
 
@@ -424,13 +425,13 @@ def run_lemma_suite(
     Each instance gets one ``bound_report``, judged by every lemma visiting it.
     A negative ``trials`` raises ``ValueError``.
 
-    The sweeps run in windows of ``_WINDOW`` steps: a window draws its
-    instances and builds their derived instances (cut remainders and the
-    split subgraphs of extremal unions) once per visit, solves them in one
-    batch per order, then judges them; nothing derived outlives its window.
-    No draw depends on a solve (cut sets, splits, trees and gains come from
-    their own streams), so the instances and the reports do not depend on
-    the window."""
+    The base sweeps run in windows of ``_WINDOW`` steps: a window analyses
+    its instances in one batch, draws their cut and split cases (an
+    extremal union's split on even steps), and calls each checker once;
+    the checkers solve their own derived instances, so nothing derived
+    outlives its window.  No draw depends on a solve (cut sets, splits,
+    trees and gains come from their own streams), so the instances and the
+    reports do not depend on the window."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     master = random.Random(seed)
@@ -456,40 +457,29 @@ def run_lemma_suite(
 
     # base instance k is step k of every base sweep
     for window in _windows(enumerate(base)):
-        steps, batch = [], []
-        for k, phi in window:
-            n = phi.graph.n
+        reps = list(_reports(phi for _, phi in window))
+        cuts, splits = [], []
+        for (k, _), rep in zip(window, reps):
+            n = rep.phi.graph.n
             if k % 3 == 0:
-                cut_vs = [rng_cut.randrange(n)]  # singleton: star cut
+                cuts.append((rep, [rng_cut.randrange(n)]))  # singleton: star cut
             else:
-                cut_vs = rng_cut.sample(range(n), rng_cut.randint(0, n))
-            cut = edge_cut(phi.graph, cut_vs)
-            remainder = gains.delete_gain_edges(phi, cut) if cut else phi
-            batch += (phi, remainder)
-            owner = sub = None
+                cuts.append((rep, rng_cut.sample(range(n), rng_cut.randint(0, n))))
             if extremal and k % 2 == 0:
                 owner = extremal[(k // 2) % len(extremal)]
                 inside = corpus.component_split(owner.phi.graph, rng_split)
-                if inside is not None:
-                    sub = gains.induced_gain_subgraph(owner.phi, inside)
-                    batch.append(sub)
+                if inside is None:
+                    reports[SUBGRAPH].skip("single component, no proper split")
+                else:
+                    splits.append((owner, inside))
             else:
                 inside = rng_split.sample(range(n), rng_split.randint(0, n))
-            steps.append((phi, cut, remainder, owner, inside, sub))
-        spectra_of(batch)
-
-        for phi, cut, remainder, owner, inside, sub in steps:
-            rep = bound_report(phi)
-            _judge_cut(rep, cut, remainder, reports[EDGE_CUT])
-            check_perfect_matching_lemma([rep], reports[PERFECT_MATCHING])
-            check_nonbipartite_lemma([rep], reports[NONBIPARTITE])
-            if owner is None:
-                check_subgraph_lemma(rep, inside, reports[SUBGRAPH])
-            elif sub is None:
-                reports[SUBGRAPH].skip("single component, no proper split")
-            else:
-                _judge_split(owner, inside, sub, reports[SUBGRAPH])
-            check_balance_lemma([rep], reports[BALANCE])
+                splits.append((rep, inside))
+        check_edge_cut_lemma(cuts, reports[EDGE_CUT])
+        check_perfect_matching_lemma(reps, reports[PERFECT_MATCHING])
+        check_nonbipartite_lemma(reps, reports[NONBIPARTITE])
+        check_subgraph_lemma(splits, reports[SUBGRAPH])
+        check_balance_lemma(reps, reports[BALANCE])
 
     trees = (
         gains.random_gain_graph(
@@ -497,8 +487,7 @@ def run_lemma_suite(
         )
         for k in range(trials)
     )
-    for rep in _reports(trees):
-        check_pendant_lemma(rep, reports[PENDANT])
+    check_pendant_lemma(_reports(trees), reports[PENDANT])
 
     check_c6tilde_lemma(
         rng_c6,

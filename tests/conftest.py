@@ -1,5 +1,6 @@
 """Shared brute-force oracles, kept independent of the package internals,
-and the fixture that puts every graph on the large-graph paths.
+the fixture that puts every graph on the large-graph paths, and one that
+keeps an exported GAINSPEC_SEED out of every test.
 
 Every oracle here recomputes from first principles (fresh adjacency
 matrices, exhaustive enumeration, the Faddeev-LeVerrier recurrence, closed
@@ -45,6 +46,13 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
 )
+
+
+@pytest.fixture(autouse=True)
+def no_seed_override(monkeypatch):
+    """Commands run without ``--seed`` take the default seed, whatever
+    GAINSPEC_SEED the shell exports; tests of the override set it."""
+    monkeypatch.delenv("GAINSPEC_SEED", raising=False)
 
 
 @pytest.fixture

@@ -184,16 +184,18 @@ def test_lemma_report_mechanics():
 
 
 def test_edge_cut_lemma_fixed_cases():
-    rep = check_edge_cut_lemma(bound_report(all_ones(complete_graph(2))), {0})
+    rep = check_edge_cut_lemma([(bound_report(all_ones(complete_graph(2))), {0})])
     assert rep.ok and rep.instances == 1
     assert rep.worst_margin == pytest.approx(2.0, abs=1e-9)  # strict star drop
 
-    rep = check_edge_cut_lemma(bound_report(all_ones(complete_bipartite(2, 2))), {0, 1})
+    rep = check_edge_cut_lemma(
+        [(bound_report(all_ones(complete_bipartite(2, 2))), {0, 1})]
+    )
     assert rep.ok
     assert rep.worst_margin == pytest.approx(4.0, abs=1e-9)
 
     # empty cut: energy unchanged, monotonicity holds with margin 0
-    rep = check_edge_cut_lemma(bound_report(all_ones(cycle_graph(4))), set())
+    rep = check_edge_cut_lemma([(bound_report(all_ones(cycle_graph(4))), set())])
     assert rep.ok and rep.worst_margin == pytest.approx(0.0, abs=1e-12)
 
 
@@ -204,26 +206,26 @@ def test_edge_cut_lemma_random_sweep():
         g = gnp_graph(rng.randrange(2, 10), rng.choice((0.3, 0.5, 0.8)), rng)
         phi = random_gain_graph(g, rng)
         vs = rng.sample(range(g.n), rng.randint(0, g.n))
-        check_edge_cut_lemma(bound_report(phi), vs, rep)
+        check_edge_cut_lemma([(bound_report(phi), vs)], rep)
     assert rep.ok and rep.instances == 60
 
 
 def test_pendant_lemma():
-    rep = check_pendant_lemma(bound_report(all_ones(path_graph(3))))
+    rep = check_pendant_lemma([bound_report(all_ones(path_graph(3)))])
     assert rep.ok and rep.worst_margin == pytest.approx(
         2 * math.sqrt(2) - 2, abs=1e-9
     )
-    rep = check_pendant_lemma(bound_report(all_ones(star_graph(4))))
+    rep = check_pendant_lemma([bound_report(all_ones(star_graph(4)))])
     assert rep.ok and rep.worst_margin == pytest.approx(2.0, abs=1e-9)
 
     # preconditions produce skips, never passes
-    rep = check_pendant_lemma(bound_report(all_ones(cycle_graph(4))))
+    rep = check_pendant_lemma([bound_report(all_ones(cycle_graph(4)))])
     assert rep.instances == 0 and rep.skips == 1
     rep = check_pendant_lemma(
-        bound_report(all_ones(disjoint_union(path_graph(2), path_graph(2))))
+        [bound_report(all_ones(disjoint_union(path_graph(2), path_graph(2))))]
     )
     assert rep.instances == 0 and rep.skip_reasons["not connected"] == 1
-    rep = check_pendant_lemma(bound_report(all_ones(path_graph(2))))
+    rep = check_pendant_lemma([bound_report(all_ones(path_graph(2)))])
     assert rep.instances == 0 and rep.skips == 1
 
 
@@ -234,7 +236,7 @@ def test_pendant_lemma_random_trees():
     rep = LemmaReport("pendant_strictness")
     for _ in range(40):
         tree = random_tree(rng.randrange(3, 10), rng)
-        check_pendant_lemma(bound_report(random_gain_graph(tree, rng)), rep)
+        check_pendant_lemma([bound_report(random_gain_graph(tree, rng))], rep)
     assert rep.ok and rep.instances == 40
     assert rep.worst_margin > 1e-8
 
@@ -290,20 +292,20 @@ def test_nonbipartite_lemma():
 def test_subgraph_lemma():
     # tight union: tightness propagates to a component split
     phi = all_ones(disjoint_union(complete_bipartite(2, 2), complete_bipartite(1, 1)))
-    rep = check_subgraph_lemma(bound_report(phi), {4, 5})
+    rep = check_subgraph_lemma([(bound_report(phi), {4, 5})])
     assert rep.ok and rep.instances == 1
 
     # inside one tight block: an edge plus its complement split additively
     phi = all_ones(complete_bipartite(3, 3))
-    rep = check_subgraph_lemma(bound_report(phi), {0, 3})
+    rep = check_subgraph_lemma([(bound_report(phi), {0, 3})])
     assert rep.ok and rep.instances == 1
 
     # non-tight instances pass vacuously
-    rep = check_subgraph_lemma(bound_report(all_ones(chorded_six_cycle())), {0, 1})
+    rep = check_subgraph_lemma([(bound_report(all_ones(chorded_six_cycle())), {0, 1})])
     assert rep.ok
 
     # non-additive split records a skip: C4 minus opposite vertices
-    rep = check_subgraph_lemma(bound_report(all_ones(cycle_graph(4))), {0, 2})
+    rep = check_subgraph_lemma([(bound_report(all_ones(cycle_graph(4))), {0, 2})])
     assert rep.instances == 0 and rep.skips == 1
 
 
@@ -448,7 +450,7 @@ def test_derived_instances_are_built_and_solved_once(monkeypatch):
         return real_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    lemma = check_edge_cut_lemma(rep, set())
+    lemma = check_edge_cut_lemma([(rep, set())])
     assert solves == [] and lemma.ok and lemma.worst_margin == 0.0
 
     # a tight split matches each side once; the subgraph gap reuses mu1
@@ -461,7 +463,7 @@ def test_derived_instances_are_built_and_solved_once(monkeypatch):
         return real_matching(g)
 
     monkeypatch.setattr(bounds, "maximum_matching", counting_matching)
-    lemma = check_subgraph_lemma(rep, {0, 3})
+    lemma = check_subgraph_lemma([(rep, {0, 3})])
     assert len(matched) == 2
     assert lemma.ok and lemma.instances == 1
     assert lemma.worst_margin == pytest.approx(0.0, abs=1e-9)
@@ -592,3 +594,116 @@ def test_lemma_suite_leaves_no_gain_graphs_alive(monkeypatch):
     with pytest.raises(RuntimeError, match="stop"):
         run_lemma_suite(seed=1, trials=300, nmax=16)
     assert live() == before
+
+
+def _mixed_reports(seed, count=72):
+    # random gain graphs of orders 2-11 between extremal unions, which are tight
+    rng = random.Random(seed)
+    pool = part_multisets(5)
+    reps = []
+    for k in range(count):
+        if k % 4 == 3:
+            phi = extremal_union(rng.choice(pool), isolated=rng.randrange(3),
+                                 switch_seed=rng)
+        else:
+            g = gnp_graph(2 + k % 10, rng.choice((0.3, 0.5, 0.8)), rng)
+            phi = random_gain_graph(g, rng)
+        reps.append(bound_report(phi))
+    return rng, reps
+
+
+def _one_case_at_a_time(check, lemma, cases):
+    merged = LemmaReport(lemma)
+    for case in cases:
+        merged.merge(check([case]))
+    return merged
+
+
+def _same_report(a, b):
+    return (a.instances, dict(a.skip_reasons), a.violations, a.worst_margin.hex()) == (
+        b.instances, dict(b.skip_reasons), b.violations, b.worst_margin.hex())
+
+
+def test_edge_cut_lemma_over_a_stream_is_its_cases_merged():
+    rng, reps = _mixed_reports(31)
+    cases = []
+    for k, rep in enumerate(reps):
+        n = rep.phi.graph.n
+        vs = [set(), [rng.randrange(n)], rng.sample(range(n), rng.randint(0, n))][k % 3]
+        cases.append((rep, vs))
+    whole = check_edge_cut_lemma(cases)
+    assert _same_report(whole, _one_case_at_a_time(
+        check_edge_cut_lemma, "edge_cut_monotonicity", cases))
+    assert whole.ok and whole.instances == len(cases) > 64
+    assert whole.worst_margin == 0.0  # the empty cuts
+
+
+def test_subgraph_lemma_over_a_stream_is_its_cases_merged():
+    from gainspec.corpus import component_split
+
+    rng, reps = _mixed_reports(37)
+    cases, extremal_splits = [], 0
+    for rep in reps:
+        g = rep.phi.graph
+        inside = component_split(g, rng) if rep.structurally_extremal else None
+        extremal_splits += inside is not None
+        cases.append((rep, inside or rng.sample(range(g.n), rng.randint(0, g.n))))
+    # C4 minus opposite vertices: not additive
+    cases.append((bound_report(all_ones(cycle_graph(4))), {0, 2}))
+    whole = check_subgraph_lemma(cases)
+    assert _same_report(whole, _one_case_at_a_time(
+        check_subgraph_lemma, "tight_subgraph_propagation", cases))
+    assert whole.ok and whole.instances + whole.skips == len(cases) > 64
+    assert whole.skip_reasons["matching number not additive over the split"] > 1
+    assert extremal_splits > 8
+
+
+def test_pendant_lemma_over_a_stream_is_its_reports_merged():
+    from gainspec.corpus import random_tree
+
+    rng = random.Random(41)
+    members = []
+    for k in range(72):
+        if k % 6 == 5:
+            g = [cycle_graph(4), path_graph(2), complete_graph(3)][k % 3]
+            members.append(bound_report(all_ones(g)))
+        else:
+            tree = random_tree(3 + k % 9, rng)
+            members.append(bound_report(random_gain_graph(tree, rng)))
+    members.append(
+        bound_report(all_ones(disjoint_union(path_graph(2), path_graph(2))))
+    )
+    whole = check_pendant_lemma(members)
+    assert _same_report(whole, _one_case_at_a_time(
+        check_pendant_lemma, "pendant_strictness", members))
+    assert whole.ok and whole.instances == 60 and whole.skips == 13
+
+
+def test_lemma_suite_judges_through_every_checker(monkeypatch):
+    from gainspec import bounds
+
+    active, entered, solving = [], set(), set()
+
+    def entering(name, check):
+        def wrapper(*args, **kwargs):
+            entered.add(name)
+            active.append(name)
+            try:
+                return check(*args, **kwargs)
+            finally:
+                active.pop()
+        return wrapper
+
+    for name in dir(bounds):
+        if name.startswith("check_") and name.endswith("_lemma"):
+            monkeypatch.setattr(bounds, name, entering(name, getattr(bounds, name)))
+    real_eigh = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        solving.update(active)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    run_lemma_suite(seed=1, trials=40, nmax=6)
+    assert len(entered) == len(LEMMA_ORDER) == 7
+    assert {"check_edge_cut_lemma", "check_subgraph_lemma"} <= solving

@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -413,3 +416,98 @@ def test_invalid_utf8_is_a_parse_error(capsys, tmp_path, command):
     code, out, err = run_cli(capsys, command, str(path))
     assert code == 2 and out == ""
     assert err == f"gainspec: {path}: line 4: invalid UTF-8 byte 0xff\n"
+
+
+def test_analyze_exits_1_with_a_complete_report_on_a_failed_check(
+    capsys, monkeypatch, tmp_path
+):
+    path = tmp_path / "k22.ugg"
+    main(["generate", "knn", "2", "--out", str(path)])
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    passed = json.loads(out)
+    assert code == 0 and passed["consistent"]
+
+    real_report = bounds.bound_report
+    monkeypatch.setattr(
+        bounds, "bound_report",
+        lambda phi: dataclasses.replace(real_report(phi), consistent=False),
+    )
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1 and err == ""
+    assert json.loads(out) == {**passed, "consistent": False}
+
+
+def test_double_exits_1_with_a_complete_report_on_a_failed_check(
+    capsys, monkeypatch, tmp_path
+):
+    src, dst = tmp_path / "c3.ugg", tmp_path / "c3x2.ugg"
+    main(["generate", "cycle", "3", "--out", str(src)])
+    capsys.readouterr()
+    real_check = spectra.kronecker_spectrum_check
+    monkeypatch.setattr(
+        spectra, "kronecker_spectrum_check",
+        lambda phi, h: dataclasses.replace(real_check(phi, h), spectrum_ok=False),
+    )
+    code, out, err = run_cli(capsys, "double", str(src), "--out", str(dst))
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert set(doc) == {
+        "n", "m", "energy", "double_n", "double_energy",
+        "expected_double_energy", "spectrum_deviation", "ok",
+    }
+    assert doc["ok"] is False and doc["n"] == 3 and doc["double_n"] == 6
+    assert parse_gain_graph(dst.read_text()).graph.n == 6
+
+
+def test_lemmas_exits_1_with_a_complete_report_on_a_violation(capsys, monkeypatch):
+    real_suite = bounds.run_lemma_suite
+
+    def one_violation(**kwargs):
+        reports = real_suite(**kwargs)
+        reports[0].violate("forced")
+        return reports
+
+    monkeypatch.setattr(bounds, "run_lemma_suite", one_violation)
+    code, out, err = run_cli(capsys, "lemmas", "--seed", "1", "--trials", "20")
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["ok"] is False and doc["total_violations"] == 1
+    assert [e["lemma"] for e in doc["lemmas"]] == list(bounds.LEMMA_ORDER)
+    assert doc["lemmas"][0]["violations"] == ["forced"]
+    assert all(e["instances"] > 0 for e in doc["lemmas"])
+
+
+# numpy is the only runtime dependency; these stay test-only.
+TEST_ONLY_MODULES = ("numpy.ma", "scipy", "networkx", "mpmath", "sympy", "hypothesis")
+
+_COMMANDS_IN_ONE_PROCESS = """
+import contextlib, io, sys
+from gainspec.cli import main
+canonical, loose, out, *test_only = sys.argv[1:]
+runs = [
+    ["generate", "extremal-union", "2,1", "--switched", "--out", canonical],
+    ["analyze", canonical],
+    ["analyze", loose],
+    ["double", canonical, "--out", out],
+    ["lemmas", "--seed", "1", "--trials", "20"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(*sorted(m for m in sys.modules
+              if any(m == t or m.startswith(t + ".") for t in test_only)))
+"""
+
+
+def test_commands_import_no_test_only_module(tmp_path):
+    loose = tmp_path / "loose.ugg"
+    loose.write_text("ugg 4\n2 3 0.5\n0  1 1.25\n1 2 -3\n")  # off the bulk parse
+    canonical, out = tmp_path / "canonical.ugg", tmp_path / "double.ugg"
+    proc = subprocess.run(
+        [sys.executable, "-c", _COMMANDS_IN_ONE_PROCESS,
+         str(canonical), str(loose), str(out), *TEST_ONLY_MODULES],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
