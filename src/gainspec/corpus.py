@@ -39,7 +39,7 @@ def random_tree(n: int, rng: random.Random) -> Graph:
     """Uniform-ish random tree: vertex i attaches to a random earlier vertex."""
     if n < 1:
         raise ValueError("a tree needs at least one vertex")
-    return Graph.from_edges(n, ((rng.randrange(i), i) for i in range(1, n)))
+    return Graph(n, [(rng.randrange(i), i) for i in range(1, n)])
 
 
 def ktt_union_graph(parts: Sequence[int], isolated: int = 0) -> Graph:
@@ -55,7 +55,7 @@ def ktt_union_graph(parts: Sequence[int], isolated: int = 0) -> Graph:
         n += 2 * t
     if isolated < 0:
         raise ValueError(f"vertex count must be nonnegative, got {isolated}")
-    return Graph(n + isolated, frozenset(edges))
+    return Graph(n + isolated, edges)
 
 
 def extremal_union(

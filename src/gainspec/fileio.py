@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .gains import UNIT_TOL, GainGraph, gain_angle, unit_from_angle
+from .gains import GainGraph, gain_angle, unit_from_angle
 from .graphs import Graph
 
 # Longest endpoint (or vertex count) the array path reads: 15 digits keep
@@ -100,22 +100,13 @@ def _parse_canonical(text: str) -> GainGraph | None:
     theta = _angles(buf, s2 + 1, line_end - s2 - 1)
     if us is None or vs is None or theta is None or not np.isfinite(theta).all():
         return None
-    if m and not ((us < vs).all() and int(vs.max()) < n):
-        return None
-    # Strictly ascending (u, v): sorted, and so free of duplicates.
-    if not (
-        (us[1:] > us[:-1]) | ((us[1:] == us[:-1]) & (vs[1:] > vs[:-1]))
-    ).all():
-        return None
     gains = np.empty(m, dtype=complex)
     gains.real, gains.imag = np.cos(theta), np.sin(theta)
-    if (np.abs(np.abs(gains) - 1.0) > UNIT_TOL).any():
+    # the constructors check range, strict order (so no duplicate) and unit gains
+    try:
+        return GainGraph.from_gains(Graph.from_arrays(n, us, vs), gains)
+    except ValueError:
         return None
-    for a in (us, vs, gains):
-        a.flags.writeable = False
-    keys = list(zip(us.tolist(), vs.tolist()))
-    graph = Graph._trusted(n, frozenset(keys), (us, vs))
-    return GainGraph._trusted(graph, dict(zip(keys, gains.tolist())), gains)
 
 
 def _field_bytes(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -198,7 +189,7 @@ def _parse_lines(text: str) -> GainGraph:
         edges[(u, v)] = unit_from_angle(theta)
     if header is None:
         raise GainGraphParseError(1, "missing header 'ugg <n>'")
-    return GainGraph(Graph(header[1], frozenset(edges)), edges)
+    return GainGraph(Graph(header[1], edges), edges)
 
 
 def serialize_gain_graph(phi: GainGraph, comment: str | None = None) -> str:
@@ -207,8 +198,7 @@ def serialize_gain_graph(phi: GainGraph, comment: str | None = None) -> str:
     if comment:
         lines.extend(f"# {c}" for c in comment.splitlines())
     lines.append(f"ugg {phi.graph.n}")
-    # the gains first: on a graph without edge arrays, their one sort fills both
-    gains, (us, vs) = phi._gain_array, phi.graph._edge_array
+    us, vs, gains = phi.graph.us, phi.graph.vs, phi.gains
     # gain_angle per edge: numpy's angle differs from it in the last bit
     angles = map(gain_angle, gains.tolist())
     lines.extend(map("{} {} {:.17g}".format, us.tolist(), vs.tolist(), angles))

@@ -1,10 +1,11 @@
 """Unit-modulus complex gains on graph edges, switching, and balance.
 
 A gain assignment maps each ordered edge (u, v) to a complex number of
-modulus 1, with gain(v, u) the inverse (= conjugate) of gain(u, v).  Only
-the forward orientation (u < v) is stored; the other direction is derived,
-so the inverse invariant holds exactly.  Gains are renormalized to unit
-modulus at construction, which keeps repeated products from drifting.
+modulus 1, with gain(v, u) the inverse (= conjugate) of gain(u, v).  A gain
+graph stores one read-only array of the gains of its edges (u, v), u < v,
+aligned with the graph's endpoint arrays; ``forward`` is a mapping view built
+on first use.  The other direction is derived, so the inverse invariant holds
+exactly, and gains are renormalized to unit modulus, so products do not drift.
 
 Balance: a gain graph is balanced when every cycle has gain 1, equivalently
 when some per-vertex switching turns every edge gain into 1.  ``is_balanced``
@@ -21,11 +22,11 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import Edge, Graph, _read_only
+from .graphs import Edge, Graph
 from . import graphs
 
 UNIT_INPUT_TOL = 1e-6   # how far from |z| = 1 an input may be before we refuse
@@ -47,62 +48,54 @@ def unit_from_angle(theta: float) -> complex:
     return complex(math.cos(theta), math.sin(theta))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GainGraph:
-    """A graph together with a unit gain per forward edge (u, v), u < v."""
+    """A graph together with a unit gain per forward edge (u, v), u < v:
+    ``gains[i]`` belongs to the edge (graph.us[i], graph.vs[i])."""
 
     graph: Graph
-    forward: Mapping[Edge, complex]
+    gains: np.ndarray
 
-    def __post_init__(self) -> None:
-        # A read-only copy: neither the caller's dict nor the attribute can
-        # change a gain after validation.
-        object.__setattr__(self, "forward", MappingProxyType(dict(self.forward)))
-        if set(self.forward) != self.graph.edges:
-            missing = self.graph.edges - set(self.forward)
-            extra = set(self.forward) - self.graph.edges
-            raise ValueError(
-                f"gains must cover the edge set exactly "
-                f"(missing {sorted(missing)}, extra {sorted(extra)})"
-            )
-        for e, z in self.forward.items():
-            if not abs(abs(z) - 1.0) <= UNIT_TOL:
-                raise ValueError(f"gain on {e} has modulus {abs(z)!r}, not 1")
+    def __new__(cls, graph: Graph, forward: Mapping[Edge, complex]) -> "GainGraph":
+        """The gain graph with gain ``forward[(u, v)]`` on each edge (u, v), u < v."""
+        pairs = list(graphs._pairs(graph))
+        if len(forward) != len(pairs) or not all(map(forward.__contains__, pairs)):
+            raise ValueError(f"gains must cover the edge set exactly (missing "
+                             f"{sorted(graph.edges - set(forward))}, extra "
+                             f"{sorted(set(forward) - graph.edges)})")
+        return cls.from_gains(graph, [forward[e] for e in pairs])
 
     @classmethod
-    def _trusted(
-        cls, graph: Graph, forward: dict[Edge, complex], gains: np.ndarray | None = None
-    ) -> "GainGraph":
-        """A gain graph over a fresh dict that no one else holds, whose keys
-        are exactly ``graph.edges`` and whose values were already checked to
-        be unit gains; ``gains``, if given, becomes ``_gain_array``."""
+    def from_gains(cls, graph: Graph, gains: Sequence[complex]) -> "GainGraph":
+        """The gain graph with ``gains[i]`` on the edge (graph.us[i], graph.vs[i]).
+        Every gain graph is built here: one gain per edge, each of modulus 1
+        within 1e-12, kept in its own read-only copy."""
+        gains = np.array(gains, dtype=complex)
+        if gains.shape != (graph.m,):
+            raise ValueError(f"expected {graph.m} gains, got shape {gains.shape}")
+        if not (all(abs(abs(z) - 1.0) <= UNIT_TOL for z in gains.tolist())
+                if graph.n < graphs.ARRAY_MIN_ORDER
+                else (np.abs(np.abs(gains) - 1.0) <= UNIT_TOL).all()):
+            raise ValueError(f"every gain must have modulus 1 within {UNIT_TOL}")
+        gains.flags.writeable = False
         phi = object.__new__(cls)
-        object.__setattr__(phi, "graph", graph)
-        object.__setattr__(phi, "forward", MappingProxyType(forward))
-        if gains is not None:
-            phi.__dict__["_gain_array"] = gains
+        phi.__dict__.update(graph=graph, gains=gains)
         return phi
 
     def __reduce__(self):
-        # A mapping proxy does not pickle; rebuild from a plain dict instead.
-        return (GainGraph, (self.graph, dict(self.forward)))
+        # Rebuild through the constructor, so a copy's array is read-only too.
+        return (GainGraph.from_gains, (self.graph, self.gains))
 
     @cached_property
-    def _gain_array(self) -> np.ndarray:
-        """Read-only forward gains aligned with ``graph._edge_array``, in
-        ascending (u, v) order.  Sorting the forward keys needs no lookup
-        per edge, and fills the graph's array too when it has none."""
-        order, ends = graphs._ascending_edges(self.forward, self.graph.n)
-        self.graph.__dict__.setdefault("_edge_array", ends)
-        gains = np.fromiter(self.forward.values(), complex, len(order))
-        return _read_only(gains[order])
+    def forward(self) -> Mapping[Edge, complex]:
+        """A read-only mapping of each edge (u, v), u < v, ascending, to its gain."""
+        pairs = graphs._pairs(self.graph)
+        return MappingProxyType(dict(zip(pairs, self.gains.tolist())))
 
     def gain(self, u: int, v: int) -> complex:
         """Gain of the ordered edge (u, v); the reverse orientation conjugates."""
-        if u < v:
-            return self.forward[(u, v)]
-        z = self.forward[(v, u)]
-        return z.conjugate()
+        z = self.forward[(u, v) if u < v else (v, u)]
+        return z if u < v else z.conjugate()
 
 
 def gain_graph(g: Graph, forward: Mapping[tuple[int, int], complex]) -> GainGraph:
@@ -119,20 +112,17 @@ def gain_graph(g: Graph, forward: Mapping[tuple[int, int], complex]) -> GainGrap
 
 def all_ones(g: Graph) -> GainGraph:
     """Every ordered edge carries gain 1."""
-    return GainGraph._trusted(g, dict.fromkeys(g.edges, 1.0 + 0.0j))
+    return GainGraph.from_gains(g, np.ones(g.m, dtype=complex))
 
 
 def set_gain(phi: GainGraph, u: int, v: int, z: complex) -> GainGraph:
     """New gain graph with gain(u, v) = z (and gain(v, u) = conj(z))."""
     if not phi.graph.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
-    z = unit(z)
-    store = dict(phi.forward)
-    if u < v:
-        store[(u, v)] = z
-    else:
-        store[(v, u)] = z.conjugate()
-    return GainGraph(phi.graph, store)
+    z, (a, b) = unit(z), graphs._normalize_edge(u, v)
+    gains = phi.gains.copy()
+    gains[(phi.graph.us == a) & (phi.graph.vs == b)] = z if u < v else z.conjugate()
+    return GainGraph.from_gains(phi.graph, gains)
 
 
 def cycle_gain(phi: GainGraph, cycle: Iterable[int]) -> complex:
@@ -191,11 +181,10 @@ def switch(phi: GainGraph, zeta: SwitchingFunction) -> GainGraph:
     if len(zeta.values) != phi.graph.n:
         raise ValueError("switching function must cover every vertex")
     values = zeta.values
-    store = {
-        (u, v): values[u].conjugate() * z * values[v]
-        for (u, v), z in phi.forward.items()
-    }
-    return GainGraph(phi.graph, store)
+    edges = zip(phi.graph.us.tolist(), phi.graph.vs.tolist(), phi.gains.tolist())
+    return GainGraph.from_gains(
+        phi.graph, [values[u].conjugate() * z * values[v] for u, v, z in edges]
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,53 +215,51 @@ def is_balanced(phi: GainGraph) -> BalanceCertificate:
     """
     g = phi.graph
     order, parent = g._forest[:2]
+    # lift[w] = gain(w, parent(w)), 1 at roots.  ``rest`` holds the non-tree
+    # edges (u, v, gain), u < v, ascending, so the witness is deterministic.
+    if g.n < graphs.ARRAY_MIN_ORDER:
+        lift, rest = [1.0 + 0.0j] * g.n, []
+        for u, v, z in zip(g.us.tolist(), g.vs.tolist(), phi.gains.tolist()):
+            if parent[v] == u:
+                lift[v] = z.conjugate()
+            elif parent[u] == v:
+                lift[u] = z
+            else:
+                rest.append((u, v, z))
+    else:
+        par = np.fromiter(parent, np.intp, g.n)
+        down, up = par[g.vs] == g.us, par[g.us] == g.vs
+        lifts = np.ones(g.n, dtype=complex)
+        lifts[g.vs[down]] = phi.gains[down].conj()
+        lifts[g.us[up]] = phi.gains[up]
+        lift = lifts.tolist()
     zeta: list[complex] = [1.0 + 0.0j] * g.n
     for w in order:
         u = parent[w]
         if u != -1:
-            zeta[w] = zeta[u] * phi.gain(w, u)
-
-    # Non-tree edges (u, v), u < v, in ascending order, so the witness is
-    # deterministic; from the size switch on, only the array screen's suspects.
-    if g.n < graphs.ARRAY_MIN_ORDER:
-        edges: Iterable[Edge] = (
-            (u, v)
-            for u in range(g.n)
-            for v in g.neighbors(u)
-            if u < v and parent[v] != u and parent[u] != v
-        )
-    else:
-        edges = _suspect_edges(phi, parent, zeta)
-    for u, v in edges:
-        switched = zeta[u].conjugate() * phi.forward[u, v] * zeta[v]
+            zeta[w] = zeta[u] * lift[w]
+    if g.n >= graphs.ARRAY_MIN_ORDER:
+        # only suspects, whose switched gain on the arrays misses 1 by more than
+        # BALANCE_TOL / 2; the scalar test decides each, as the products may differ
+        zs = np.fromiter(zeta, complex, g.n)
+        switched = zs[g.us].conj() * phi.gains * zs[g.vs]
+        hits = np.flatnonzero(~(down | up) & (np.abs(switched - 1.0) > BALANCE_TOL / 2))
+        rest = zip(g.us[hits].tolist(), g.vs[hits].tolist(), phi.gains[hits].tolist())
+    for u, v, z in rest:
+        switched = zeta[u].conjugate() * z * zeta[v]
         if abs(switched - 1.0) > BALANCE_TOL:
             cyc = _fundamental_cycle(parent, u, v)
+            # the gain of the cycle, multiplied as cycle_gain multiplies it
+            total = 1.0 + 0.0j
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                total *= (lift[a] if parent[a] == b
+                          else z if (a, b) == (u, v) else lift[b].conjugate())
             return BalanceCertificate(
-                balanced=False,
-                violating_cycle=cyc,
-                violation_gain=cycle_gain(phi, cyc),
+                balanced=False, violating_cycle=cyc, violation_gain=total
             )
     return BalanceCertificate(
         balanced=True, witness=SwitchingFunction(tuple(zeta))
     )
-
-
-def _suspect_edges(
-    phi: GainGraph, parent: Sequence[int], zeta: Sequence[complex]
-) -> Iterator[Edge]:
-    """Non-tree edges, ascending, whose switched gain computed on the arrays
-    misses 1 by more than BALANCE_TOL / 2.  Array and scalar arithmetic may
-    round differently in the last bits, so this only screens: the caller
-    decides each suspect with the scalar test, and an edge that fails it
-    misses 1 by far more than the rounding on the arrays."""
-    us, vs = phi.graph._edge_array
-    par = np.fromiter(parent, np.intp, len(parent))
-    z = np.fromiter(zeta, complex, len(zeta))
-    switched = z[us].conj() * phi._gain_array * z[vs]
-    suspect = np.abs(switched - 1.0) > BALANCE_TOL / 2
-    suspect &= (par[vs] != us) & (par[us] != vs)
-    hits = np.flatnonzero(suspect)
-    return zip(map(int, us[hits]), map(int, vs[hits]))
 
 
 def _fundamental_cycle(parent: Sequence[int], u: int, v: int) -> tuple[int, ...]:
@@ -299,38 +286,30 @@ def kronecker(phi: GainGraph, h: Graph) -> GainGraph:
     vertex (v, u) is numbered v * h.n + u, the forward gain of a product edge
     is exactly the forward gain of its first-factor edge.
     """
-    kg = graphs.kronecker_graph(phi.graph, h)
-    m = h.n
-    store = {(i, j): phi.forward[(i // m, j // m)] for i, j in kg.edges}
-    return GainGraph._trusted(kg, store)
+    us, vs, source = graphs._kronecker_edges(phi.graph, h)
+    kg = Graph.from_arrays(phi.graph.n * h.n, us, vs)
+    return GainGraph.from_gains(kg, phi.gains[source])
 
 
 def random_gain_graph(g: Graph, seed: int | random.Random) -> GainGraph:
-    """Uniform random angle on each edge; deterministic for a fixed seed."""
+    """Uniform random angle per edge, drawn in ascending edge order; seeded."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    store = {
-        e: unit_from_angle(rng.uniform(0.0, 2.0 * math.pi))
-        for e in sorted(g.edges)
-    }
-    return GainGraph(g, store)
+    return GainGraph.from_gains(
+        g, [unit_from_angle(rng.uniform(0.0, 2.0 * math.pi)) for _ in range(g.m)]
+    )
 
 
 def delete_gain_edges(phi: GainGraph, cut: Iterable[tuple[int, int]]) -> GainGraph:
     """Remove edges (keeping all vertices); surviving gains are unchanged."""
-    g2 = graphs.delete_edges(phi.graph, cut)
-    return GainGraph._trusted(g2, {e: phi.forward[e] for e in g2.edges})
+    sub, keep = graphs._deleted(phi.graph, cut)
+    return GainGraph.from_gains(sub, phi.gains[keep])
 
 
 def induced_gain_subgraph(phi: GainGraph, vs: Iterable[int]) -> GainGraph:
     """Gain graph induced on a vertex subset, relabeled like the graph op."""
-    g2, relabel = graphs.induced_subgraph(phi.graph, vs)
-    # relabeling is monotone, so forward keys stay forward
-    store = {
-        (relabel[u], relabel[v]): z
-        for (u, v), z in phi.forward.items()
-        if u in relabel and v in relabel
-    }
-    return GainGraph._trusted(g2, store)
+    # relabeling is monotone, so forward edges stay forward
+    sub, _, inside = graphs._induced(phi.graph, vs)
+    return GainGraph.from_gains(sub, phi.gains[inside])
 
 
 def gain_angle(z: complex) -> float:

@@ -1,10 +1,10 @@
 """Undirected simple graphs and the structural operations used throughout.
 
-Vertices are dense integers 0..n-1 and edges are unordered pairs stored as
-(u, v) with u < v.  All named constructions fix a canonical vertex numbering
-(documented on each constructor) so that downstream spectra and file fixtures
-are reproducible.  Graph values are immutable; every operation returns a new
-value.
+Vertices are dense integers 0..n-1; a graph stores its edges (u, v), u < v,
+as two read-only endpoint arrays in ascending order, and ``edges`` is a
+frozenset view built on first use.  All named constructions fix a canonical
+vertex numbering (documented on each constructor) so that downstream spectra
+and file fixtures are reproducible.  Graph values are immutable.
 """
 
 from __future__ import annotations
@@ -13,16 +13,15 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Collection, Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 Edge = tuple[int, int]
-EdgeArrays = tuple[np.ndarray, np.ndarray]
 
-# The one size switch.  From this order on, adjacency lists and the balance
-# scan run on the cached endpoint arrays and ``spectra.spectrum`` solves one
-# component at a time; below it Python loops and one dense solve are cheaper.
+# The one size switch.  From this order on, the constructors' checks, adjacency
+# lists and the balance scan run on the arrays and ``spectra.spectrum`` solves
+# by component; below it Python loops and one dense solve are cheaper.
 # Measured, one BLAS thread, adjacency + BFS + balance + spectrum of a fresh
 # balanced gain graph, loops -> arrays: G(16, .8) 219 -> 391 us, G(32, .8)
 # 896 -> 601 us, K_{32,32} 2826 -> 1501 us; forests break even near n = 64.
@@ -34,62 +33,88 @@ def _normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Graph:
-    """Simple undirected graph: vertex count plus a frozenset of (u, v), u < v."""
+    """Simple undirected graph on the vertices 0..n-1.  Its edges (u, v),
+    u < v, are the pairs (us[i], vs[i]) of two read-only intp arrays,
+    strictly ascending in (u, v)."""
 
     n: int
-    edges: frozenset[Edge]
+    us: np.ndarray
+    vs: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.edges, frozenset):
-            object.__setattr__(self, "edges", frozenset(self.edges))
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+    def __new__(cls, n: int, edges: Iterable[Edge]) -> "Graph":
+        """The graph of these integer pairs (u, v), u < v, in any order; duplicates
+        collapse.  A bool, which numpy reads as an int, is refused here."""
+        pairs = sorted(dict.fromkeys(edges))
+        flat = list(chain.from_iterable(pairs))
+        if set(map(len, pairs)) - {2} or not {bool, np.bool_}.isdisjoint(map(type, flat)):
+            raise ValueError("edges must be pairs of integer vertices")
+        ends = np.array(flat) if flat else np.empty(0, dtype=np.intp)
+        return cls.from_arrays(n, ends[0::2], ends[1::2])
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph, normalizing each pair to (min, max). Duplicates collapse."""
-        return cls(n, frozenset(_normalize_edge(u, v) for u, v in edges))
+        return cls(n, (_normalize_edge(u, v) for u, v in edges))
 
     @classmethod
-    def _trusted(cls, n: int, edges: frozenset[Edge], ends: EdgeArrays) -> "Graph":
-        """A graph whose producer has already made every check of
-        ``__post_init__`` on these values; ``ends`` becomes ``_edge_array``."""
+    def from_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray) -> "Graph":
+        """The graph whose edges are the pairs (us[i], vs[i]).  Every graph is
+        built here: n a nonnegative integer, integer endpoints 0 <= u < v < n,
+        strictly ascending in (u, v), kept in its own read-only copies."""
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
+        us, vs = np.asarray(us), np.asarray(vs)
+        if (us.dtype.kind not in "iu" or vs.dtype.kind not in "iu"
+                or us.ndim != 1 or us.shape != vs.shape):
+            raise ValueError("edge endpoints must be two integer arrays of one length")
+        us, vs = us.astype(np.intp), vs.astype(np.intp)
+        if n < ARRAY_MIN_ORDER:  # below the size switch one loop beats the array calls
+            ul, vl = us.tolist(), vs.tolist()
+            ok = all(map(tuple.__lt__, zip(ul, vl), zip(ul[1:], vl[1:]))) and all(
+                map(int.__lt__, ul, vl)) and (not ul or ul[0] >= 0 and max(vl) < n)
+        else:
+            rise = (us[1:] > us[:-1]) | ((us[1:] == us[:-1]) & (vs[1:] > vs[:-1]))
+            ok = rise.all() and (us[:1] >= 0).all() and ((us < vs) & (vs < n)).all()
+        if not ok:
+            raise ValueError(f"edges must be distinct pairs 0 <= u < v < {n}, ascending")
+        us.flags.writeable = vs.flags.writeable = False
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", edges)
-        g.__dict__["_edge_array"] = ends
+        g.__dict__.update(n=int(n), us=us, vs=vs)
         return g
 
     def __reduce__(self):
-        # Rebuild, not restore ``__dict__``: a cached array would come back writeable.
-        return (Graph, (self.n, self.edges))
+        # Rebuild through the constructor, so a copy's arrays are read-only too.
+        return (Graph.from_arrays, (self.n, self.us, self.vs))
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Graph) and self.n == other.n
+                and np.array_equal(self.us, other.us)
+                and np.array_equal(self.vs, other.vs))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.us.tobytes(), self.vs.tobytes()))
 
     @cached_property
-    def _edge_array(self) -> EdgeArrays:
-        """Read-only endpoint arrays (us, vs) in ascending (u, v) order."""
-        return _ascending_edges(self.edges, self.n)[1]
+    def edges(self) -> frozenset[Edge]:
+        """The edges as a frozenset of pairs (u, v), u < v."""
+        return frozenset(_pairs(self))
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        # Either way each list holds its lower neighbours, then its higher
+        # ones, and both runs are ascending because the edges are.
         if self.n < ARRAY_MIN_ORDER:
             nbrs: list[list[int]] = [[] for _ in range(self.n)]
-            for u, v in self.edges:
+            for u, v in _pairs(self):
                 nbrs[u].append(v)
                 nbrs[v].append(u)
-            return tuple(tuple(sorted(a)) for a in nbrs)
-        # CSR by one stable sort on the source vertex.  The reversed copies
-        # come first, so each list holds its lower neighbours before its
-        # higher ones, and both runs are ascending because the edges are.
-        us, vs = self._edge_array
-        src = np.concatenate((vs, us))
-        dst = np.concatenate((us, vs))[np.argsort(src, kind="stable")].tolist()
+            return tuple(map(tuple, nbrs))
+        # CSR by one stable sort on the source vertex, reversed copies first.
+        src = np.concatenate((self.vs, self.us))
+        order = np.argsort(src, kind="stable")
+        dst = np.concatenate((self.us, self.vs))[order].tolist()
         stops = np.cumsum(np.bincount(src, minlength=self.n)).tolist()
         return tuple(
             tuple(dst[a:b]) for a, b in zip(chain((0,), stops), stops)
@@ -143,26 +168,16 @@ class Graph:
         return len(self._adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _normalize_edge(u, v) in self.edges
+        return 0 <= u < self.n and v in self._adjacency[u]
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.us)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _ascending_edges(pairs: Collection[Edge], n: int) -> tuple[np.ndarray, EdgeArrays]:
-    """The permutation that sorts the pairs (u, v), u < v < n, into
-    ascending order, and their read-only endpoint arrays in that order."""
-    ends = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * len(pairs))
-    us, vs = ends[0::2], ends[1::2]
-    # Any graph whose n-length lists fit in memory has n * n < 2**63.
-    order = np.argsort(us * n + vs)
-    return order, (_read_only(us[order]), _read_only(vs[order]))
+def _pairs(g: Graph) -> Iterator[Edge]:
+    """The edges (u, v) of ``g``, ascending, as tuples of Python ints."""
+    return zip(g.us.tolist(), g.vs.tolist())
 
 
 def _check_vertices(g: Graph, vs: Iterable[int]) -> None:
@@ -193,15 +208,20 @@ def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int]
 
     Returns the graph and the old->new vertex relabeling map.
     """
+    return _induced(g, vs)[:2]
+
+
+def _induced(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int], np.ndarray]:
+    """``induced_subgraph``, and the mask of the edges of ``g`` it keeps.
+    The relabeling is monotone, so the kept edges stay ascending."""
     kept = sorted(set(vs))
     _check_vertices(g, kept)
-    relabel = {old: new for new, old in enumerate(kept)}
-    edges = [
-        (relabel[u], relabel[v])
-        for u, v in g.edges
-        if u in relabel and v in relabel
-    ]
-    return Graph.from_edges(len(kept), edges), relabel
+    label = np.full(g.n, -1)
+    label[kept] = np.arange(len(kept))
+    us, ws = label[g.us], label[g.vs]
+    inside = (us >= 0) & (ws >= 0)
+    sub = Graph.from_arrays(len(kept), us[inside], ws[inside])
+    return sub, {old: new for new, old in enumerate(kept)}, inside
 
 
 def components(g: Graph) -> list[tuple[int, ...]]:
@@ -222,16 +242,22 @@ def edge_cut(g: Graph, vs: Iterable[int]) -> frozenset[Edge]:
     """All edges with exactly one endpoint in ``vs``."""
     inside = set(vs)
     _check_vertices(g, inside)
-    return frozenset(e for e in g.edges if (e[0] in inside) != (e[1] in inside))
+    return frozenset(e for e in _pairs(g) if (e[0] in inside) != (e[1] in inside))
 
 
 def delete_edges(g: Graph, cut: Iterable[tuple[int, int]]) -> Graph:
     """Same vertex set, edges minus ``cut``. Raises if ``cut`` contains a non-edge."""
+    return _deleted(g, cut)[0]
+
+
+def _deleted(g: Graph, cut: Iterable[tuple[int, int]]) -> tuple[Graph, np.ndarray]:
+    """``delete_edges``, and the mask of the edges of ``g`` it keeps."""
     drop = frozenset(_normalize_edge(u, v) for u, v in cut)
-    stray = drop - g.edges
-    if stray:
-        raise ValueError(f"not edges of the graph: {sorted(stray)}")
-    return Graph(g.n, g.edges - drop)
+    pairs = list(_pairs(g))
+    if not drop.issubset(pairs):
+        raise ValueError(f"not edges of the graph: {sorted(drop.difference(pairs))}")
+    keep = np.fromiter((e not in drop for e in pairs), bool, len(pairs))
+    return Graph.from_arrays(g.n, g.us[keep], g.vs[keep]), keep
 
 
 def pendant_vertices(g: Graph) -> frozenset[int]:
@@ -251,7 +277,7 @@ def pendant_vertices(g: Graph) -> frozenset[int]:
 
 
 def empty_graph(n: int) -> Graph:
-    return Graph(n, frozenset())
+    return Graph(n, ())
 
 
 def path_graph(n: int) -> Graph:
@@ -317,13 +343,17 @@ def kronecker_graph(g: Graph, h: Graph) -> Graph:
 
     Vertex (v, u) is numbered v * h.n + u.
     """
-    m = h.n
-    edges = []
-    for gv, gw in g.edges:
-        for hu, hw in h.edges:
-            edges.append((gv * m + hu, gw * m + hw))
-            edges.append((gv * m + hw, gw * m + hu))
-    return Graph.from_edges(g.n * m, edges)
+    return Graph.from_arrays(g.n * h.n, *_kronecker_edges(g, h)[:2])
+
+
+def _kronecker_edges(g: Graph, h: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of ``kronecker_graph(g, h)``, ascending, and their source edges in g."""
+    low, high = (g.us * h.n)[:, None], (g.vs * h.n)[:, None]
+    us = np.concatenate((low + h.us, low + h.vs), axis=1).ravel()
+    vs = np.concatenate((high + h.vs, high + h.us), axis=1).ravel()
+    source = np.repeat(np.arange(g.m), 2 * h.m)
+    order = np.lexsort((vs, us))
+    return us[order], vs[order], source[order]
 
 
 def gnp_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -336,4 +366,4 @@ def gnp_graph(n: int, p: float, rng: random.Random) -> Graph:
         for j in range(i + 1, n)
         if rng.random() < p
     ]
-    return Graph.from_edges(n, edges)
+    return Graph(n, edges)

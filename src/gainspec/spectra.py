@@ -39,14 +39,16 @@ DENSE_MAX_ORDER = 4096
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Real eigenvalues sorted descending, in a read-only array, and their
-    absolute sum."""
+    """Real eigenvalues sorted descending, in the spectrum's own read-only
+    copy, and their absolute sum."""
 
     eigenvalues: np.ndarray
     energy: float
 
     def __post_init__(self) -> None:
-        self.eigenvalues.flags.writeable = False
+        values = np.array(self.eigenvalues, dtype=float)
+        values.flags.writeable = False
+        object.__setattr__(self, "eigenvalues", values)
 
     def __reduce__(self):
         # Rebuild through the constructor, so a copy's array is read-only too.
@@ -66,9 +68,8 @@ def adjacency(phi: GainGraph) -> np.ndarray:
     n = phi.graph.n
     _require_dense_order(n)
     a = np.zeros((n, n), dtype=complex)
-    for (u, v), z in phi.forward.items():
-        a[u, v] = z
-        a[v, u] = z.conjugate()
+    a[phi.graph.us, phi.graph.vs] = phi.gains
+    a[phi.graph.vs, phi.graph.us] = phi.gains.conj()
     return a
 
 
@@ -117,7 +118,7 @@ def _eigh(stack: np.ndarray) -> np.ndarray:
 def _descending_spectra(ascending: np.ndarray) -> list[Spectrum]:
     """The spectra of the rows of ``ascending`` (k, n), each held in a
     descending copy."""
-    vals = ascending[:, ::-1].copy()
+    vals = ascending[:, ::-1]
     energies = np.sum(np.abs(vals), axis=1).tolist()
     return [Spectrum(v, e) for v, e in zip(vals, energies)]
 
@@ -162,15 +163,13 @@ def _singular_values(b: np.ndarray) -> np.ndarray:
 def _component_eigenvalues(phi: GainGraph) -> np.ndarray:
     """Eigenvalues of A, unsorted, solved one component at a time.
 
-    Each block is built from the cached edge and gain arrays directly,
+    Each block is built from the edge and gain arrays directly,
     never the n x n matrix: a bipartite component as its side-0 x side-1
     biadjacency block, any other as its own Hermitian block.  Blocks of one
     kind and shape are stacked and solved in one call.  Isolated vertices
     and the |p - q| kernel of a bipartite block are exact zeros.
     """
     g = phi.graph
-    # the gains first: on a graph without edge arrays, their one sort fills both
-    z = phi._gain_array
     bip = g._bipartition
     side = bip.side
     # position of each vertex within its block: its side of a bipartite
@@ -185,7 +184,7 @@ def _component_eigenvalues(phi: GainGraph) -> np.ndarray:
             comp_of[v], pos[v] = k, counts[half]
             counts[half] += 1
         shapes.append(counts)
-    us, vs = g._edge_array
+    us, vs, z = g.us, g.vs, phi.gains
     comp_arr, pos_arr = np.array(comp_of), np.array(pos)
     # orient every edge from side 0 to side 1 (A[v, u] = conj(A[u, v])); a
     # non-bipartite block sets both entries, so orientation is immaterial there
@@ -244,8 +243,7 @@ def _check_sums(specs: Sequence[Spectrum], n: int, sizes: Sequence[int]) -> None
     )
 
 
-# A gain graph is immutable, so its verified spectrum is cached on it, as
-# its edge and gain arrays are.
+# A gain graph is immutable, so its verified spectrum is cached on it.
 _SPECTRUM = "_spectrum"
 
 

@@ -486,24 +486,34 @@ def test_lemma_suite_agrees_on_both_spectrum_paths(monkeypatch):
 
 def test_lemma_suite_stays_on_the_small_graph_paths(monkeypatch):
     # Every lemma-suite graph has at most nmax vertices, below
-    # graphs.ARRAY_MIN_ORDER: the sweep builds no edge arrays and solves no
-    # block by SVD, where the array paths would cost it per-call overhead.
-    edge_array = Graph.__dict__["_edge_array"].func
-    real_svd = np.linalg.svd
-    built, factored = [], []
+    # graphs.ARRAY_MIN_ORDER: the sweep takes no array pass (CSR adjacency,
+    # balance screen, per-component solve) and solves no block by SVD, where
+    # the array paths would cost it per-call overhead.  Every graph's
+    # adjacency is built, by the BFS behind the balance check if not before.
+    from gainspec import graphs, spectra
 
-    def counting_edge_array(g):
-        built.append(g.n)
-        return edge_array(g)
+    adjacency = Graph.__dict__["_adjacency"].func
+    real_svd = np.linalg.svd
+    orders, array_passes, factored = [], [], []
+
+    def counting_adjacency(g):
+        orders.append(g.n)
+        return adjacency(g)
 
     def counting_svd(b, *args, **kwargs):
         factored.append(b.shape)
         return real_svd(b, *args, **kwargs)
 
-    monkeypatch.setattr(Graph, "_edge_array", property(counting_edge_array))
+    def no_array_pass(*args, **kwargs):
+        array_passes.append(args)
+        raise AssertionError("an array pass ran in the lemma suite")
+
+    monkeypatch.setattr(Graph, "_adjacency", property(counting_adjacency))
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(spectra, "_component_eigenvalues", no_array_pass)
     run_lemma_suite(seed=1, trials=40, nmax=16)
-    assert built == [] and factored == []
+    assert orders and max(orders) < graphs.ARRAY_MIN_ORDER
+    assert array_passes == [] and factored == []
 
 
 def test_subgraph_lemma_judges_every_extremal_split_visit():

@@ -281,22 +281,81 @@ def test_serialize_matches_the_edge_by_edge_form(comment):
 
 
 def test_serialize_sorts_a_fresh_gain_graph_once(monkeypatch):
-    from gainspec import graphs
+    # the edges are sorted at construction only; serializing sorts nothing
+    import builtins
 
-    real_sort = graphs._ascending_edges
+    import numpy as np
+
     sorts = []
 
-    def counting_sort(pairs, n):
-        sorts.append(n)
-        return real_sort(pairs, n)
+    def counting(m, module, name):
+        real = getattr(module, name)
+        m.setattr(module, name, lambda *a, **k: sorts.append(name) or real(*a, **k))
 
     rng = random.Random(43)
     for phi in [extremal_union([20, 12], isolated=2, switch_seed=rng),
                 random_gain_graph(gnp_graph(40, 0.3, rng), rng)]:
         expected = _serialized_edge_by_edge(phi, "c")
-        fresh = GainGraph(Graph(phi.graph.n, phi.graph.edges), dict(phi.forward))
+        edges, fwd = list(phi.graph.edges), dict(phi.forward)
         with monkeypatch.context() as m:
-            m.setattr(graphs, "_ascending_edges", counting_sort)
+            for module, name in [(builtins, "sorted"), (np, "lexsort"), (np, "argsort"),
+                                 (np, "sort")]:
+                counting(m, module, name)
+            fresh = GainGraph(Graph(phi.graph.n, edges), fwd)
+            assert sorts == ["sorted"]
+            sorts.clear()
             assert serialize_gain_graph(fresh, "c") == expected
-        assert sorts == [phi.graph.n]
-        sorts.clear()
+        assert sorts == []
+
+
+# ---------------------------------------------------------------------------
+# A bulk-parsed gain graph is its arrays: the views ``edges`` and
+# ``forward`` are never built on the analyze, double or generate paths.
+# ---------------------------------------------------------------------------
+
+
+def _bulk_parsed():
+    rng = random.Random(47)
+    unbalanced = random_gain_graph(gnp_graph(60, 0.1, rng), rng)
+    balanced = extremal_union([20, 16], isolated=3, switch_seed=rng)
+    for phi in (unbalanced, balanced):
+        text = serialize_gain_graph(phi)
+        assert fileio._parse_canonical(text) is not None
+        yield parse_gain_graph(text)
+
+
+def test_commands_build_no_edge_or_gain_view(monkeypatch):
+    from gainspec import bound_report, complete_graph, graphs, kronecker_spectrum_check
+    from gainspec.cli import analysis_report
+
+    def no_view(self):
+        raise AssertionError("a command built the edges or forward view")
+
+    phis = list(_bulk_parsed())
+    monkeypatch.setattr(Graph, "edges", property(no_view))
+    monkeypatch.setattr(GainGraph, "forward", property(no_view))
+    for phi in phis:
+        assert phi.graph.n >= graphs.ARRAY_MIN_ORDER
+        bound_report(phi)
+        analysis_report(phi)
+        serialize_gain_graph(phi)
+        kronecker_spectrum_check(phi, complete_graph(2))
+
+
+def test_a_bulk_parsed_gain_graph_keeps_only_its_arrays():
+    # 32 bytes per edge: two intp endpoints and one complex gain
+    import gc
+    import tracemalloc
+
+    text = serialize_gain_graph(extremal_union([100, 100], switch_seed=3))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        phi = parse_gain_graph(text)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert phi.graph.m == 20000
+    assert retained <= 64 * phi.graph.m

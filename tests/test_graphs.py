@@ -36,6 +36,15 @@ def test_construction_validates():
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(ValueError):
         Graph(-1, frozenset())
+    # vertices are integers: a bool or a float is neither an endpoint nor n
+    for n, edges in [(3, {(0, True)}), (3, {(0, 1.5)}), (2.5, frozenset()),
+                     (True, frozenset())]:
+        with pytest.raises(ValueError):
+            Graph(n, edges)
+    # the array constructor takes distinct edges in ascending order only
+    for us, vs in [([1, 0], [2, 3]), ([0, 0], [1, 1]), ([0], [0]), ([0], [4])]:
+        with pytest.raises(ValueError):
+            Graph.from_arrays(4, us, vs)
     # duplicates collapse, orientation normalizes
     g = Graph.from_edges(3, [(1, 0), (0, 1)])
     assert g.edges == {(0, 1)}

@@ -311,6 +311,22 @@ def test_spectra_are_read_only():
     assert rep.energy == rep.spectrum.energy
 
 
+def test_a_spectrum_keeps_its_own_copy():
+    # no array a Spectrum holds is writable through .base, and none aliases
+    # or freezes an array its caller still holds
+    from gainspec import Spectrum, spectra_of
+
+    phis = [all_ones(complete_bipartite(2, 2)), all_ones(complete_bipartite(1, 3))]
+    for spec in spectra_of(phis) + [spectrum(all_ones(complete_bipartite(20, 20)))]:
+        base = spec.eigenvalues.base
+        assert base is None or not base.flags.writeable
+    assert list(spectrum(phis[0]).eigenvalues) == pytest.approx([2, 0, 0, -2], abs=1e-12)
+    stack = np.array([[3.0, -3.0], [1.0, -1.0]])
+    spec = Spectrum(stack[0], 6.0)
+    stack[0, 0] = 99.0
+    assert stack.flags.writeable and list(spec.eigenvalues) == [3.0, -3.0]
+
+
 @pytest.mark.parametrize(
     "round_trip",
     [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
@@ -320,16 +336,15 @@ def test_arrays_stay_read_only_after_a_round_trip(round_trip):
     from gainspec import bound_report
 
     phi = extremal_union([3, 2], isolated=1, switch_seed=7)
-    phi._gain_array  # caches phi.graph._edge_array as well
     rep = bound_report(phi)
     graph, psi, spec, rep2 = map(round_trip, (phi.graph, phi, rep.spectrum, rep))
     assert graph == phi.graph and dict(psi.forward) == dict(phi.forward)
     assert np.array_equal(spec.eigenvalues, rep.spectrum.eigenvalues)
     assert rep2 == rep
     arrays = [
-        *graph._edge_array, psi._gain_array, *psi.graph._edge_array,
+        graph.us, graph.vs, psi.gains, psi.graph.us, psi.graph.vs,
         spec.eigenvalues, rep2.spectrum.eigenvalues,
-        *rep2.phi.graph._edge_array, rep2.phi._gain_array,
+        rep2.phi.graph.us, rep2.phi.graph.vs, rep2.phi.gains,
     ]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -681,26 +696,29 @@ def test_mixed_batch_takes_both_paths_and_solves_a_repeat_once(monkeypatch):
 
 
 def test_analysis_sorts_an_in_memory_gain_graph_once(monkeypatch):
-    from gainspec import bound_report
+    # The edges are sorted at construction only: analysing a gain graph
+    # sorts none, and the Kronecker check sorts only to build its product.
+    from gainspec import bound_report, kronecker
 
-    real_sort = graphs._ascending_edges
+    real_sort = np.lexsort
     sorts = []
 
-    def counting_sort(pairs, n):
-        sorts.append(n)
-        return real_sort(pairs, n)
+    def counting_sort(keys, *args, **kwargs):
+        sorts.append(len(keys[0]))
+        return real_sort(keys, *args, **kwargs)
 
-    def fresh():
-        rng = random.Random(5)
-        return [extremal_union([20, 16], isolated=3, switch_seed=1),
-                random_gain_graph(gnp_graph(40, 0.2, rng), rng)]
-
-    monkeypatch.setattr(graphs, "_ascending_edges", counting_sort)
-    for phi in fresh():
+    rng = random.Random(5)
+    phis = [extremal_union([20, 16], isolated=3, switch_seed=1),
+            random_gain_graph(gnp_graph(40, 0.2, rng), rng)]
+    h = complete_graph(2)
+    monkeypatch.setattr(np, "lexsort", counting_sort)
+    for phi in phis:
         bound_report(phi)
-        assert sorts == [phi.graph.n]
+        assert sorts == []
+    for phi in phis:
+        kronecker(phi, h)
+        built = sorts[:]
         sorts.clear()
-    for phi in fresh():
-        kronecker_spectrum_check(phi, complete_graph(2))
-        assert sorts == [phi.graph.n, 2 * phi.graph.n]
+        kronecker_spectrum_check(phi, h)
+        assert sorts == built and set(built) == {2 * phi.graph.m}
         sorts.clear()
