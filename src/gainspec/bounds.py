@@ -14,8 +14,9 @@ empty), skip reasons for inputs that fail a precondition, and the worst
 margin observed.  Every checker but ``check_c6tilde_lemma``, which draws its
 own instances, takes a stream of ``BoundReport`` values or of (report,
 vertex set) cases; the edge-cut and subgraph checkers build and solve their
-derived instances a window at a time.  ``run_lemma_suite`` analyses each
-drawn instance once and hands each window of reports to every checker.
+derived instances a window at a time, each spectrum a returned value.
+``run_lemma_suite`` analyses each drawn instance once and hands each window
+of reports to every checker.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import corpus, gains, graphs
 from .gains import BalanceCertificate, GainGraph, is_balanced
 from .graphs import Graph, bipartition, edge_cut, induced_subgraph, is_connected
 from .matching import maximum_matching
-from .spectra import Spectrum, energy, spectra_of, spectrum
+from .spectra import Spectrum, spectra_of, spectrum
 
 GAP_TIGHT_TOL = 1e-6     # "numerically tight" threshold on energy - 2*mu
 STRICT_MARGIN = 1e-8     # strict inequalities must clear this
@@ -89,7 +90,11 @@ def is_extremal_structure(phi: GainGraph) -> bool:
 
 
 def bound_report(phi: GainGraph) -> BoundReport:
-    spec = spectrum(phi)
+    return _report(phi, spectrum(phi))
+
+
+def _report(phi: GainGraph, spec: Spectrum) -> BoundReport:
+    """``bound_report`` of ``phi``, whose spectrum is ``spec``."""
     mu = maximum_matching(phi.graph).mu
     cert = is_balanced(phi)
     g = spec.energy - 2.0 * mu
@@ -229,16 +234,16 @@ def check_edge_cut_lemma(
 ) -> LemmaReport:
     """Deleting an edge cut never raises the energy; a star cut strictly
     lowers it.  Each case is a report and the vertex set whose cut is
-    deleted.  A window's remainders are solved in one batch; an empty cut
-    keeps ``rep.phi``, whose cached solve gives a drop of exactly 0.0.
+    deleted.  A window's remainders of non-empty cuts are solved in one
+    batch; an empty cut deletes nothing and drops exactly 0.0, unsolved.
     Margin: energy drop."""
     report = report or LemmaReport(EDGE_CUT)
     for window in _windows(cases):
         cuts = [(rep, edge_cut(rep.phi.graph, vs)) for rep, vs in window]
-        remainders = [gains.delete_gain_edges(rep.phi, cut) if cut else rep.phi
-                      for rep, cut in cuts]
-        for (rep, cut), spec in zip(cuts, spectra_of(remainders)):
-            drop = rep.energy - spec.energy
+        solved = iter(spectra_of(gains.delete_gain_edges(rep.phi, cut)
+                                 for rep, cut in cuts if cut))
+        for rep, cut in cuts:
+            drop = rep.energy - next(solved).energy if cut else 0.0
             report.record(drop)
             if drop < -STRICT_MARGIN:
                 report.violate(f"energy rose by {-drop:.3e} after deleting a cut")
@@ -354,14 +359,14 @@ def check_subgraph_lemma(
             splits.append((rep, phi1, mu1, additive))
             if additive and rep.numerically_tight:
                 tight.append(phi1)
-        spectra_of(tight)
+        tight_spectra = iter(spectra_of(tight))
         for rep, phi1, mu1, additive in splits:
             if not additive:
                 report.skip("matching number not additive over the split")
             elif not rep.numerically_tight:
                 report.record(rep.gap)
             else:
-                sub_gap = energy(phi1) - 2.0 * mu1
+                sub_gap = next(tight_spectra).energy - 2.0 * mu1
                 report.record(sub_gap)
                 if sub_gap > GAP_TIGHT_TOL:
                     report.violate("tight graph has non-tight induced subgraph "
@@ -414,8 +419,7 @@ C6_TRIAL_FACTOR = (5, 2)
 def _reports(phis: Iterable[GainGraph]) -> Iterator[BoundReport]:
     """``bound_report`` of each gain graph, solved a window at a time."""
     for window in _windows(phis):
-        spectra_of(window)
-        yield from map(bound_report, window)
+        yield from map(_report, window, spectra_of(window))
 
 
 def run_lemma_suite(
@@ -423,7 +427,7 @@ def run_lemma_suite(
 ) -> list[LemmaReport]:
     """Run every lemma sweep over seeded corpora; deterministic in seed.
     Each instance gets one ``bound_report``, judged by every lemma visiting it.
-    A negative ``trials`` raises ``ValueError``.
+    A negative ``trials`` or an ``nmax`` below 2 raises ``ValueError``.
 
     The base sweeps run in windows of ``_WINDOW`` steps: a window analyses
     its instances in one batch, draws their cut and split cases (an
@@ -434,6 +438,8 @@ def run_lemma_suite(
     reports do not depend on the window."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if nmax < 2:
+        raise ValueError(f"nmax must be >= 2, got {nmax}")
     master = random.Random(seed)
 
     def sub_rng() -> random.Random:

@@ -93,8 +93,12 @@ class GainGraph:
         return MappingProxyType(dict(zip(pairs, self.gains.tolist())))
 
     def gain(self, u: int, v: int) -> complex:
-        """Gain of the ordered edge (u, v); the reverse orientation conjugates."""
-        z = self.forward[(u, v) if u < v else (v, u)]
+        """Gain of the ordered edge (u, v); the reverse orientation conjugates.
+        A non-edge raises ``ValueError``."""
+        try:
+            z = self.forward[(u, v) if u < v else (v, u)]
+        except KeyError:
+            raise ValueError(f"({u}, {v}) is not an edge") from None
         return z if u < v else z.conjugate()
 
 

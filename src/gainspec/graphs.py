@@ -162,10 +162,13 @@ class Graph:
         return Bipartition(comps, exists, side)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        """The neighbours of vertex v, ascending; v outside 0..n-1 raises."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
         return self._adjacency[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adjacency[v])
+        return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self._adjacency[u]
@@ -180,10 +183,16 @@ def _pairs(g: Graph) -> Iterator[Edge]:
     return zip(g.us.tolist(), g.vs.tolist())
 
 
-def _check_vertices(g: Graph, vs: Iterable[int]) -> None:
+def _check_vertices(g: Graph, vs: Iterable[int]) -> set[int]:
+    """The set of ``vs``, once each member is checked to be a vertex of ``g``:
+    an integer, not a bool, in 0..n-1."""
+    vs = list(vs)
     for v in vs:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"vertex {v!r} is not an integer")
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
+    return set(vs)
 
 
 @dataclass(frozen=True)
@@ -214,8 +223,7 @@ def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int]
 def _induced(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int], np.ndarray]:
     """``induced_subgraph``, and the mask of the edges of ``g`` it keeps.
     The relabeling is monotone, so the kept edges stay ascending."""
-    kept = sorted(set(vs))
-    _check_vertices(g, kept)
+    kept = sorted(_check_vertices(g, vs))
     label = np.full(g.n, -1)
     label[kept] = np.arange(len(kept))
     us, ws = label[g.us], label[g.vs]
@@ -240,8 +248,7 @@ def bipartition(g: Graph) -> Bipartition:
 
 def edge_cut(g: Graph, vs: Iterable[int]) -> frozenset[Edge]:
     """All edges with exactly one endpoint in ``vs``."""
-    inside = set(vs)
-    _check_vertices(g, inside)
+    inside = _check_vertices(g, vs)
     return frozenset(e for e in _pairs(g) if (e[0] in inside) != (e[1] in inside))
 
 

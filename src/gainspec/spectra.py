@@ -243,39 +243,33 @@ def _check_sums(specs: Sequence[Spectrum], n: int, sizes: Sequence[int]) -> None
     )
 
 
-# A gain graph is immutable, so its verified spectrum is cached on it.
-_SPECTRUM = "_spectrum"
-
-
 def spectra_of(phis: Iterable[GainGraph]) -> list[Spectrum]:
-    """The spectrum of each gain graph, as ``spectrum`` gives it, with one
-    solve per order for the graphs below ``graphs.ARRAY_MIN_ORDER``: their
-    adjacency matrices are stacked and go to LAPACK in one call, and every
-    matrix keeps every check of ``eigenvalues``.  Each result is cached on
-    its graph, so ``spectrum`` and later batches return it unsolved."""
+    """The spectrum of each gain graph, as ``spectrum`` gives it, in input
+    order, with one solve per order for the graphs below
+    ``graphs.ARRAY_MIN_ORDER``: their adjacency matrices are stacked and go
+    to LAPACK in one call, and every matrix keeps every check of
+    ``eigenvalues``.  Each call solves afresh and returns a new list."""
     phis = list(phis)
-    stacks: dict[int, dict[int, GainGraph]] = {}
-    for phi in phis:
-        if _SPECTRUM in phi.__dict__:
-            continue
+    specs: list[Spectrum | None] = [None] * len(phis)
+    stacks: dict[int, list[int]] = {}
+    for i, phi in enumerate(phis):
         n, m = phi.graph.n, phi.graph.m
         _require_dense_order(n)
         if m == 0:
-            phi.__dict__[_SPECTRUM] = _descending_spectra(np.zeros((1, n)))[0]
+            specs[i] = _descending_spectra(np.zeros((1, n)))[0]
         elif n < graphs.ARRAY_MIN_ORDER:
-            stacks.setdefault(n, {})[id(phi)] = phi
+            stacks.setdefault(n, []).append(i)
         else:
             vals = np.sort(_component_eigenvalues(phi))[None]
-            (spec,) = _descending_spectra(vals)
-            _check_sums([spec], n, [m])
-            phi.__dict__[_SPECTRUM] = spec
+            (specs[i],) = _descending_spectra(vals)
+            _check_sums([specs[i]], n, [m])
     for n, members in stacks.items():
-        group = list(members.values())
-        specs = _descending_spectra(_eigh(np.stack([adjacency(phi) for phi in group])))
-        _check_sums(specs, n, [phi.graph.m for phi in group])
-        for phi, spec in zip(group, specs):
-            phi.__dict__[_SPECTRUM] = spec
-    return [phi.__dict__[_SPECTRUM] for phi in phis]
+        group = [phis[i] for i in members]
+        solved = _descending_spectra(_eigh(np.stack([adjacency(phi) for phi in group])))
+        _check_sums(solved, n, [phi.graph.m for phi in group])
+        for i, spec in zip(members, solved):
+            specs[i] = spec
+    return specs
 
 
 def spectrum(phi: GainGraph) -> Spectrum:
@@ -293,11 +287,10 @@ def spectrum(phi: GainGraph) -> Spectrum:
 
     For a gain graph the eigenvalues must sum to 0 (zero diagonal) and their
     squares must sum to 2m (unit-modulus off-diagonal entries); both are
-    asserted on the assembled spectrum after every solve.  The result is
-    cached on ``phi``; ``spectra_of`` solves many graphs at once.
+    asserted on the assembled spectrum after every solve.  Each call solves
+    afresh; ``spectra_of`` solves many graphs at once.
     """
-    cached = phi.__dict__.get(_SPECTRUM)
-    return cached if cached is not None else spectra_of([phi])[0]
+    return spectra_of([phi])[0]
 
 
 def energy(phi: GainGraph) -> float:

@@ -394,6 +394,12 @@ def test_run_lemma_suite_rejects_negative_trials(trials):
         run_lemma_suite(seed=1, trials=trials, nmax=6)
 
 
+@pytest.mark.parametrize("nmax", [1, 0, -3])
+def test_run_lemma_suite_rejects_nmax_below_two(nmax):
+    with pytest.raises(ValueError, match=f"nmax must be >= 2, got {nmax}"):
+        run_lemma_suite(seed=1, trials=4, nmax=nmax)
+
+
 def test_run_lemma_suite_analyses_each_instance_once(monkeypatch):
     from gainspec import bounds, matching, spectra
 
@@ -424,13 +430,13 @@ def test_run_lemma_suite_analyses_each_drawn_instance_once(monkeypatch):
 
     # keep every argument alive so that no id is reused
     analysed = []
-    real_report = bounds.bound_report
+    real_report = bounds._report
 
-    def counting_report(phi):
+    def counting_report(phi, spec):
         analysed.append(phi)
-        return real_report(phi)
+        return real_report(phi, spec)
 
-    monkeypatch.setattr(bounds, "bound_report", counting_report)
+    monkeypatch.setattr(bounds, "_report", counting_report)
     run_lemma_suite(seed=1, trials=40, nmax=6)
     # 40 base instances, 5 extremal unions, 40 trees, 11 balance extras
     assert len(analysed) == 96

@@ -119,6 +119,13 @@ def test_orientation_inverse_invariant_random():
             assert abs(phi.gain(u, v) * phi.gain(v, u) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("u, v", [(0, 0), (0, 2), (2, 0), (0, 5)])
+def test_gain_of_a_non_edge_names_the_pair(u, v):
+    phi = all_ones(path_graph(3))
+    with pytest.raises(ValueError, match=rf"^\({u}, {v}\) is not an edge$"):
+        phi.gain(u, v)
+
+
 def test_cycle_gain_basic():
     assert cycle_gain(all_ones(cycle_graph(4)), [0, 1, 2, 3]) == 1.0
     phi = set_gain(all_ones(cycle_graph(3)), 0, 1, 1j)
@@ -333,8 +340,9 @@ def test_gains_are_immutable_after_construction():
 
 
 def test_the_package_keeps_no_global_memo():
-    # caches live on immutable values (cached_property, the cached
-    # Spectrum); a functools memo would keep its arguments alive past a run
+    # views live on immutable values as cached properties (a graph's
+    # adjacency and BFS forest, a gain graph's forward mapping); a functools
+    # memo would keep its arguments alive past a run
     import gainspec
 
     memos = {"lru_cache", "cache"}
@@ -350,3 +358,34 @@ def test_the_package_keeps_no_global_memo():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names & memos]
     assert found == []
+
+
+def test_analysis_stores_nothing_on_a_gain_graph(monkeypatch):
+    # a spectrum, report or check is returned to the caller; every gain
+    # graph, passed in or built during the run, keeps only its own fields
+    from gainspec import (bound_report, kronecker_spectrum_check, run_lemma_suite,
+                          spectra_of, spectrum)
+
+    built = []
+    real = GainGraph.from_gains.__func__
+
+    def recording(cls, graph, gains):
+        built.append(real(cls, graph, gains))
+        return built[-1]
+
+    monkeypatch.setattr(GainGraph, "from_gains", classmethod(recording))
+    rng = random.Random(7)
+    phis = [
+        random_gain_graph(cycle_graph(5), rng),
+        random_gain_graph(gnp_graph(40, 0.1, rng), rng),
+        all_ones(empty_graph(3)),
+    ]
+    for phi in phis:
+        bound_report(phi)
+        spectrum(phi)
+        kronecker_spectrum_check(phi, complete_graph(2))
+    spectra_of(phis)
+    run_lemma_suite(seed=1, trials=40, nmax=6)
+    assert len(built) > 200
+    fields = {"graph", "gains", "forward"}
+    assert [sorted(vars(phi)) for phi in built if set(vars(phi)) - fields] == []

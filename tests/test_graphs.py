@@ -2,6 +2,7 @@ import math
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 
 from conftest import disjoint_union, has_odd_cycle_bruteforce
@@ -16,6 +17,7 @@ from gainspec import (
     delete_edges,
     edge_cut,
     empty_graph,
+    gains,
     gnp_graph,
     graphs,
     induced_subgraph,
@@ -88,6 +90,36 @@ def test_induced_subgraph_pair():
 
     with pytest.raises(ValueError):
         induced_subgraph(c4, {0, 7})
+
+
+@pytest.mark.parametrize("v", [-1, 4])
+def test_neighbors_and_degree_refuse_a_vertex_out_of_range(v):
+    g = path_graph(4)
+    with pytest.raises(ValueError, match=f"vertex {v} out of range for n=4"):
+        g.neighbors(v)
+    with pytest.raises(ValueError, match=f"vertex {v} out of range for n=4"):
+        g.degree(v)
+    assert g.neighbors(3) == (2,) and g.degree(0) == 1
+
+
+@pytest.mark.parametrize(
+    "vs", [[0, True], [True], [1, True], [1.0, 2.0], [1.5], [np.True_]]
+)
+def test_vertex_sets_refuse_bool_and_non_integer_vertices(vs):
+    g = path_graph(4)
+    with pytest.raises(ValueError, match="is not an integer"):
+        induced_subgraph(g, vs)
+    with pytest.raises(ValueError, match="is not an integer"):
+        gains.induced_gain_subgraph(gains.all_ones(g), vs)
+    with pytest.raises(ValueError, match="is not an integer"):
+        edge_cut(g, vs)
+
+
+def test_vertex_sets_take_numpy_integers():
+    g = path_graph(4)
+    vs = np.array([1, 2])
+    assert induced_subgraph(g, vs)[0] == induced_subgraph(g, [1, 2])[0]
+    assert edge_cut(g, vs) == edge_cut(g, [1, 2]) == {(0, 1), (2, 3)}
 
 
 def test_induced_subgraph_of_chorded_hexagon():

@@ -505,11 +505,11 @@ def test_batch_equals_one_dense_solve_per_graph(n):
 def test_mixed_order_batch_equals_one_dense_solve_per_graph():
     rng = random.Random(53)
     phis = _random_graphs([rng.randrange(1, 32) for _ in range(120)], rng)
-    phis += [phis[7], phis[7]]  # a repeated graph is solved once
+    phis += [phis[7], phis[7]]  # a repeated graph gets its spectrum each time
     _assert_bitwise_dense(phis, spectra.spectra_of(phis))
 
 
-def test_batch_solves_each_order_once_and_caches(monkeypatch):
+def test_batch_solves_each_order_once_and_stores_nothing(monkeypatch):
     rng = random.Random(59)
     phis = _random_graphs([3, 5, 3, 5, 5, 4], rng)
     phis.append(all_ones(empty_graph(6)))
@@ -524,8 +524,12 @@ def test_batch_solves_each_order_once_and_caches(monkeypatch):
     specs = spectra.spectra_of(phis)
     # a stack per order; the lone matrix of order 4 is a stack of one
     assert sorted(shapes) == [(1, 4, 4), (2, 3, 3), (3, 5, 5)]
-    assert [spectrum(phi) for phi in phis] == specs
-    assert spectra.spectra_of(phis) == specs and len(shapes) == 3
+    # nothing is kept: a second batch solves again, to the same bits
+    again = spectra.spectra_of(phis)
+    assert len(shapes) == 6 and again is not specs
+    for first, second in zip(specs, again):
+        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+        assert first.energy == second.energy
 
 
 def test_empty_batch_and_edgeless_graphs_cost_no_solve(monkeypatch):
@@ -665,7 +669,7 @@ def test_svd_of_a_stack_of_one_is_the_matrix_solve(p, q):
         )
 
 
-def test_mixed_batch_takes_both_paths_and_solves_a_repeat_once(monkeypatch):
+def test_mixed_batch_takes_both_paths(monkeypatch):
     rng = random.Random(83)
     small = _random_graphs([3, 7, 7, 12, 31], rng)
     large = [
@@ -688,7 +692,7 @@ def test_mixed_batch_takes_both_paths_and_solves_a_repeat_once(monkeypatch):
 
     monkeypatch.setattr(spectra, "_component_eigenvalues", counting)
     specs = spectra.spectra_of(phis)
-    assert len(solved) == len(large) and {id(p) for p in solved} == set(map(id, large))
+    assert {id(p) for p in solved} == set(map(id, large))
     for phi, spec in zip(phis, specs):
         fresh = spectrum(pickle.loads(pickle.dumps(phi)))
         assert spec.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
