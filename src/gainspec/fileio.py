@@ -10,33 +10,33 @@ the edge carries gain e^{i theta} from u to v (and the conjugate back).
 Blank lines are ignored.  Angles are written with 17 significant digits, so
 a serialize/parse round trip reproduces every gain to within 1e-12.
 
-Parsing has two paths with one result.  A file in the layout that
-``serialize_gain_graph`` writes (leading '#' lines, then ``ugg <n>``, then
-``u v theta`` lines with single spaces, '\n' endings and edges in ascending
-(u, v) order) is parsed and checked on whole arrays.  Any other layout, and
-any file failing one of those checks, goes through the line loop, which
-accepts the general format and is the only source of error messages, so
-the error text does not depend on the path.
+Parsing has two paths with one result.  The bulk path reads a whole file
+with numpy's text reader: it takes an ASCII file of leading '#' lines, then
+``ugg <n>``, then a body whose bytes are digits, '.', '+', '-', 'e', 'E',
+' ' and '\n', with three single-space fields on every non-blank line; the
+validating constructors then check ranges and ascending (u, v) order.  Any
+other file, and any file failing one of those checks, goes through the line
+loop, which accepts the general format and is the only source of error
+messages, so the error text does not depend on the path.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .gains import GainGraph, gain_angle, unit_from_angle
 from .graphs import Graph
 
-# Longest endpoint (or vertex count) the array path reads: 15 digits keep
-# every value below 2**53.  Longer angle fields than ANGLE_WIDTH also go to
-# the line loop; a 17-significant-digit angle takes at most 24 characters.
+# Longest vertex count the bulk path reads: 15 digits keep it below 2**53.
 MAX_DIGITS = 15
-ANGLE_WIDTH = 32
-# Bytes an edge line of the canonical layout may hold.
+# Bytes the body of a bulk-parsed file may hold, and one row of it.
 _EDGE_BYTES = b"0123456789.+-eE \n"
+_EDGE_ROW = [("u", np.intp), ("v", np.intp), ("theta", np.float64)]
 
 
 class GainGraphParseError(ValueError):
@@ -55,8 +55,8 @@ def parse_gain_graph(text: str) -> GainGraph:
 
 
 def _parse_canonical(text: str) -> GainGraph | None:
-    """The gain graph of a file in the canonical layout, or None when the
-    file is in another layout or fails any check of ``_parse_lines``."""
+    """The gain graph of a file the bulk path takes, or None when the file
+    is outside what it takes or fails any check of ``_parse_lines``."""
     if not text.isascii():
         return None
     start = 0
@@ -76,71 +76,31 @@ def _parse_canonical(text: str) -> GainGraph | None:
         or len(count) > MAX_DIGITS
     ):
         return None
-    n = int(count)
-    body = text[stop + 1 :].encode("ascii")
-    # Zero padding lets every field be read as a fixed-width window.
-    buf = np.zeros(len(body) + ANGLE_WIDTH, dtype=np.uint8)
-    buf[: len(body)] = np.frombuffer(body, dtype=np.uint8)
-    line_end = np.flatnonzero(buf == ord("\n"))
-    spaces = np.flatnonzero(buf == ord(" "))
-    m = len(line_end)
-    if (
-        (body and body[-1:] != b"\n")
-        or len(spaces) != 2 * m
-        or body.translate(None, _EDGE_BYTES)
-    ):
+    body = text[stop + 1 :]
+    # Only bytes that numpy's reader and the line loop read alike: no line
+    # break but '\n', no blank but ' ', and no '#', '_', 'nan' or 'inf'.
+    if body.encode("ascii").translate(None, _EDGE_BYTES):
         return None
-    line_start = np.concatenate(([0], line_end + 1))[:m]
-    s1, s2 = spaces[0::2], spaces[1::2]
-    # Exactly two spaces per line, and three nonempty fields.
-    if not ((line_start < s1) & (s1 + 1 < s2) & (s2 + 1 < line_end)).all():
+    rows = np.empty(0, dtype=_EDGE_ROW)
+    try:
+        # A warning falls back too: numpy warns of "no data" on a blank-only
+        # body, so an empty one, which has no edge, is not read.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if body:
+                rows = np.loadtxt(io.StringIO(body), dtype=_EDGE_ROW, delimiter=" ",
+                                  comments=None, ndmin=1)
+    except (ValueError, Warning):
         return None
-    us = _endpoints(buf, line_start, s1 - line_start)
-    vs = _endpoints(buf, s1 + 1, s2 - s1 - 1)
-    theta = _angles(buf, s2 + 1, line_end - s2 - 1)
-    if us is None or vs is None or theta is None or not np.isfinite(theta).all():
+    theta = rows["theta"]
+    if not np.isfinite(theta).all():
         return None
-    gains = np.empty(m, dtype=complex)
+    gains = np.empty(len(rows), dtype=complex)
     gains.real, gains.imag = np.cos(theta), np.sin(theta)
     # the constructors check range, strict order (so no duplicate) and unit gains
     try:
-        return GainGraph.from_gains(Graph.from_arrays(n, us, vs), gains)
-    except ValueError:
-        return None
-
-
-def _field_bytes(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """One row per field: its bytes, then zeros up to the longest field."""
-    width = int(lengths.max(initial=0))
-    rows = sliding_window_view(buf, max(width, 1))[starts, :width]
-    rows[np.arange(width) >= lengths[:, None]] = 0
-    return rows
-
-
-def _endpoints(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
-    """Decimal values of ASCII-digit fields, or None if any field is longer
-    than MAX_DIGITS or holds another byte."""
-    if lengths.max(initial=0) > MAX_DIGITS:
-        return None
-    rows = _field_bytes(buf, starts, lengths)
-    values = np.zeros(len(starts), dtype=np.intp)
-    for j in range(rows.shape[1]):
-        live = j < lengths
-        digit = rows[:, j] - ord("0")
-        if (live & (digit > 9)).any():
-            return None
-        values = np.where(live, values * 10 + digit, values)
-    return values
-
-
-def _angles(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
-    """Angle fields as floats, each rounded exactly as ``float`` rounds it,
-    or None if one is longer than ANGLE_WIDTH or is not a number."""
-    if lengths.max(initial=0) > ANGLE_WIDTH:
-        return None
-    rows = _field_bytes(buf, starts, lengths)
-    try:
-        return rows.view(f"S{max(rows.shape[1], 1)}").ravel().astype(np.float64)
+        graph = Graph.from_arrays(int(count), rows["u"], rows["v"])
+        return GainGraph.from_gains(graph, gains)
     except ValueError:
         return None
 

@@ -3,9 +3,10 @@
 A gain assignment maps each ordered edge (u, v) to a complex number of
 modulus 1, with gain(v, u) the inverse (= conjugate) of gain(u, v).  A gain
 graph stores one read-only array of the gains of its edges (u, v), u < v,
-aligned with the graph's endpoint arrays; ``forward`` is a mapping view built
-on first use.  The other direction is derived, so the inverse invariant holds
-exactly, and gains are renormalized to unit modulus, so products do not drift.
+aligned with the graph's endpoint arrays; ``gain`` finds an edge there by
+binary search, and ``forward`` is a mapping view built on first use.  The
+other direction is derived, so the inverse invariant holds exactly, and
+gains are renormalized to unit modulus, so products do not drift.
 
 Balance: a gain graph is balanced when every cycle has gain 1, equivalently
 when some per-vertex switching turns every edge gain into 1.  ``is_balanced``
@@ -95,10 +96,7 @@ class GainGraph:
     def gain(self, u: int, v: int) -> complex:
         """Gain of the ordered edge (u, v); the reverse orientation conjugates.
         A non-edge raises ``ValueError``."""
-        try:
-            z = self.forward[(u, v) if u < v else (v, u)]
-        except KeyError:
-            raise ValueError(f"({u}, {v}) is not an edge") from None
+        z = self.gains[graphs._edge_index(self.graph, u, v)].item()
         return z if u < v else z.conjugate()
 
 
@@ -121,11 +119,9 @@ def all_ones(g: Graph) -> GainGraph:
 
 def set_gain(phi: GainGraph, u: int, v: int, z: complex) -> GainGraph:
     """New gain graph with gain(u, v) = z (and gain(v, u) = conj(z))."""
-    if not phi.graph.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
-    z, (a, b) = unit(z), graphs._normalize_edge(u, v)
+    i, z = graphs._edge_index(phi.graph, u, v), unit(z)
     gains = phi.gains.copy()
-    gains[(phi.graph.us == a) & (phi.graph.vs == b)] = z if u < v else z.conjugate()
+    gains[i] = z if u < v else z.conjugate()
     return GainGraph.from_gains(phi.graph, gains)
 
 

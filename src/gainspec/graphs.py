@@ -162,16 +162,19 @@ class Graph:
         return Bipartition(comps, exists, side)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        """The neighbours of vertex v, ascending; v outside 0..n-1 raises."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        """The neighbours of vertex v, ascending; a bool, a non-integer or
+        an integer outside 0..n-1 raises ``ValueError``."""
+        # a plain int in range needs no more; anything else gets the full check
+        if type(v) is not int or not 0 <= v < self.n:
+            _check_vertices(self, [v])
         return self._adjacency[v]
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self._adjacency[u]
+        inside = _is_vertex(self, u), _is_vertex(self, v)
+        return all(inside) and v in self._adjacency[u]
 
     @property
     def m(self) -> int:
@@ -183,16 +186,33 @@ def _pairs(g: Graph) -> Iterator[Edge]:
     return zip(g.us.tolist(), g.vs.tolist())
 
 
+def _is_vertex(g: Graph, v: int) -> bool:
+    """Whether ``v`` is in 0..n-1; a bool or a non-integer raises ``ValueError``."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"vertex {v!r} is not an integer")
+    return 0 <= v < g.n
+
+
 def _check_vertices(g: Graph, vs: Iterable[int]) -> set[int]:
     """The set of ``vs``, once each member is checked to be a vertex of ``g``:
     an integer, not a bool, in 0..n-1."""
     vs = list(vs)
     for v in vs:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"vertex {v!r} is not an integer")
-        if not 0 <= v < g.n:
+        if not _is_vertex(g, v):
             raise ValueError(f"vertex {v} out of range for n={g.n}")
     return set(vs)
+
+
+def _edge_index(g: Graph, u: int, v: int) -> int:
+    """The index of the edge {u, v} in the arrays of ``g``, found by binary
+    search; a non-edge raises ``ValueError`` naming the pair."""
+    if all((_is_vertex(g, u), _is_vertex(g, v))):
+        a, b = _normalize_edge(u, v)
+        lo, hi = g.us.searchsorted((a, a + 1)).tolist()
+        i = lo + int(g.vs[lo:hi].searchsorted(b))
+        if i < hi and g.vs[i] == b:
+            return i
+    raise ValueError(f"({u}, {v}) is not an edge")
 
 
 @dataclass(frozen=True)

@@ -511,3 +511,17 @@ def test_commands_import_no_test_only_module(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize("text", ["ugg 3\n\n", "ugg 3\n\n\n"])
+def test_analyze_of_a_blank_body_writes_no_warning(tmp_path, text):
+    # an edgeless graph; in its own process, so the default warning filters apply
+    path = tmp_path / "blank.ugg"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gainspec", "analyze", str(path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert (report["n"], report["m"]) == (3, 0)

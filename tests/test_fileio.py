@@ -128,21 +128,17 @@ ERROR_CASES = [
     "# only a comment",
 ]
 
-# Inputs outside the canonical layout, or failing one of its checks: each
-# has a valid edge line before the trigger, so the line loop that takes
-# them over builds at least one gain.
+# Inputs the bulk path refuses: each has a valid edge line before the
+# trigger, so the line loop that takes them over builds at least one gain.
 FALLBACK_CASES = [
     "ugg 2000\n0 1 0.5\n1_000 1001 0.25\n",       # underscore in an endpoint
-    "ugg 9\n0 1 0.5\n+3 4 0.25\n",                 # signed endpoint
     "ugg 200\n0 1 0.5\n1e2 101 0.25\n",            # exponent endpoint
     "ugg 9\n0 1 0.5\n1.0 2 0.25\n",                # decimal endpoint
     "ugg 9\n0 1 0.5\n1 2 nan\n",                   # nan angle
     "ugg 9\n0 1 0.5\n1 2 1e999\n",                 # angle overflows to inf
     "ugg 9\n0 1 0.5\n1\t2 0.25\n",                 # tab
     "ugg 9\r\n0 1 0.5\r\n1 2 0.25\r\n",            # CRLF
-    "ugg 9\n0 1 0.5\n\n1 2 0.25\n",                # blank line in the body
     "ugg 9\n0 1 0.5\n# note\n1 2 0.25\n",          # comment in the body
-    "ugg 9\n0 1 0.5\n1 2 0.25",                    # no final newline
     "ugg 9\n0 1 0.5\n١ 2 0.25\n",             # non-ASCII digit
     "ugg 9\n0 1 0.5\n1  2 0.25\n",                 # double space
     "ugg 9\n0 1 0.5\n1 2 0.25 7\n2 3\n",           # 2m spaces, misplaced
@@ -158,10 +154,18 @@ FALLBACK_CASES = [
     "ugg 9\n0 1 0.5\n1 2\n",                       # short line
     "ugg 9\n0 1 0.5\n1 2 0.25 7\n",                # long line
     "ugg 9\n0 1 0.5\n0001234567890123456 2 0.25\n",  # endpoint of 19 digits
-    "ugg 9\n0 1 0.5\n1 2 0." + "0" * 40 + "1\n",   # angle of 43 characters
     "# a\x0cugg 9\n0 1 0.5\n1 2 0.25\n",          # form feed breaks a comment
     "ugg 09 \n0 1 0.5\n",                          # trailing space in the header
     "\nugg 9\n0 1 0.5\n",                          # blank line before the header
+]
+
+# Outside the layout ``serialize_gain_graph`` writes, but inside what numpy's
+# text reader takes: the bulk path parses them.
+BULK_CASES = [
+    "ugg 9\n0 1 0.5\n+3 4 0.25\n",                 # signed endpoint
+    "ugg 9\n0 1 0.5\n\n1 2 0.25\n",                # blank line in the body
+    "ugg 9\n0 1 0.5\n1 2 0.25",                    # no final newline
+    "ugg 9\n0 1 0.5\n1 2 0." + "0" * 40 + "1\n",   # angle of 43 characters
 ]
 
 
@@ -186,7 +190,7 @@ def assert_same_parse(text):
         assert struct.pack("2d", z.real, z.imag) == struct.pack("2d", w.real, w.imag)
 
 
-@pytest.mark.parametrize("text", ERROR_CASES + FALLBACK_CASES)
+@pytest.mark.parametrize("text", ERROR_CASES + FALLBACK_CASES + BULK_CASES)
 def test_array_path_agrees_with_line_loop(text):
     assert_same_parse(text)
 
@@ -197,6 +201,14 @@ def test_fallback_inputs_take_the_line_loop(text, monkeypatch):
     _outcome(parse_gain_graph, text)
     assert calls
     assert fileio._parse_canonical(text) is None
+
+
+@pytest.mark.parametrize("text", BULK_CASES)
+def test_bulk_inputs_take_the_array_path(text, monkeypatch):
+    calls = _count_unit_from_angle(monkeypatch)
+    assert fileio._parse_canonical(text) is not None
+    parse_gain_graph(text)
+    assert calls == []
 
 
 def _count_unit_from_angle(monkeypatch):
@@ -242,8 +254,11 @@ def test_array_path_matches_line_loop_on_valid_files(n, data):
         for u, v in chosen
     ]
     comments = data.draw(st.lists(st.sampled_from(["#", "# c", "#x y"]), max_size=2))
+    # blank lines between edge lines, and perhaps no newline after the last
+    ends = [data.draw(st.sampled_from(["\n", "\n", "\n\n", "\n\n\n"])) for _ in lines[1:]]
+    ends.append(data.draw(st.sampled_from(["\n", ""])) if lines else "")
     text = "".join(c + "\n" for c in comments) + f"ugg {n}\n" + "".join(
-        ln + "\n" for ln in lines
+        map(str.__add__, lines, ends)
     )
     assert fileio._parse_canonical(text) is not None
     assert_same_parse(text)

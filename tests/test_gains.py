@@ -3,6 +3,7 @@ import cmath
 import math
 import pickle
 import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,40 @@ def test_gain_of_a_non_edge_names_the_pair(u, v):
     phi = all_ones(path_graph(3))
     with pytest.raises(ValueError, match=rf"^\({u}, {v}\) is not an edge$"):
         phi.gain(u, v)
+
+
+def test_gain_reads_the_arrays_of_a_bulk_parsed_graph():
+    from gainspec import fileio
+
+    rng = random.Random(29)
+    phi = random_gain_graph(gnp_graph(40, 0.3, rng), rng)
+    text = fileio.serialize_gain_graph(phi)
+    assert fileio._parse_canonical(text) is not None
+    parsed = fileio.parse_gain_graph(text)
+    g = parsed.graph
+    assert g.n >= 32
+    parsed.gain(g.us[7], g.vs[7])
+    parsed.gain(g.vs[7], g.us[7])
+    cycle = next((a, b, c) for a, b in zip(g.us.tolist(), g.vs.tolist())
+                 for c in set(g.neighbors(a)) & set(g.neighbors(b)))
+    cycle_gain(parsed, cycle)
+    with pytest.raises(ValueError, match="is not an edge"):
+        parsed.gain(0, 0)
+    assert "forward" not in parsed.__dict__
+
+
+def test_gain_is_bit_equal_to_the_forward_view():
+    rng = random.Random(31)
+    graphs = [chorded_six_cycle(), gnp_graph(12, 0.5, rng), gnp_graph(50, 0.2, rng)]
+    for phi in map(lambda g: random_gain_graph(g, rng), graphs):
+        for (u, v), z in phi.forward.items():
+            assert type(phi.gain(u, v)) is complex
+            assert _bits(phi.gain(u, v)) == _bits(z)
+            assert _bits(phi.gain(v, u)) == _bits(z.conjugate())
+
+
+def _bits(z):
+    return struct.pack("2d", z.real, z.imag)
 
 
 def test_cycle_gain_basic():

@@ -122,6 +122,29 @@ def test_vertex_sets_take_numpy_integers():
     assert edge_cut(g, vs) == edge_cut(g, [1, 2]) == {(0, 1), (2, 3)}
 
 
+def test_per_vertex_accessors_refuse_bool_and_non_integer_vertices():
+    g = path_graph(4)
+    phi = gains.all_ones(g)
+    calls = [
+        lambda: g.degree(True),
+        lambda: g.neighbors(True),
+        lambda: g.has_edge(True, 2),
+        lambda: phi.gain(True, 2),
+        lambda: phi.gain(0.0, 1.0),
+        lambda: gains.set_gain(phi, True, 2, 1j),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="is not an integer"):
+            call()
+    # integers out of range keep their answers, numpy integers are vertices
+    assert not g.has_edge(-1, 0) and not g.has_edge(2, 4) and not g.has_edge(9, 2)
+    with pytest.raises(ValueError, match=r"^\(0, 9\) is not an edge$"):
+        phi.gain(0, 9)
+    v = np.int64(1)
+    assert g.degree(v) == 2 and g.neighbors(v) == (0, 2) and g.has_edge(v, 2)
+    assert phi.gain(v, np.int64(2)) == 1
+
+
 def test_induced_subgraph_of_chorded_hexagon():
     # {v1, v2, v5, v6} = {0, 1, 4, 5} keeps the chord {1, 4}: a 4-cycle,
     # with edges (in relabeled vertices) 01, 12, 23, 03
