@@ -281,6 +281,8 @@ def check_c6tilde_lemma(
 ) -> LemmaReport:
     """Every gain assignment on the chorded six-cycle has energy > 6.
     Margin: energy - 6."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     report = report or LemmaReport(CHORDED_HEXAGON)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     g = graphs.chorded_six_cycle()

@@ -129,7 +129,8 @@ def cycle_gain(phi: GainGraph, cycle: Iterable[int]) -> complex:
     """Product of gains along a closed vertex sequence.
 
     Accepts v1..vk or v1..vk v1; needs k >= 3 distinct vertices with
-    consecutive (and wrap-around) adjacency.
+    consecutive (and wrap-around) adjacency; a missing edge raises
+    ``ValueError`` naming the pair.
     """
     seq = list(cycle)
     if len(seq) >= 2 and seq[0] == seq[-1]:
@@ -140,8 +141,6 @@ def cycle_gain(phi: GainGraph, cycle: Iterable[int]) -> complex:
         raise ValueError("cycle vertices must be distinct")
     total = 1.0 + 0.0j
     for a, b in zip(seq, seq[1:] + seq[:1]):
-        if not phi.graph.has_edge(a, b):
-            raise ValueError(f"({a}, {b}) is not an edge; sequence is not a cycle")
         total *= phi.gain(a, b)
     return total
 
@@ -158,6 +157,10 @@ class SwitchingFunction:
                 raise ValueError("switching values must have unit modulus")
 
     def __call__(self, v: int) -> complex:
+        """The value at vertex v; a bool, a non-integer or an integer outside
+        0..n-1 raises ``ValueError``."""
+        if not graphs._is_vertex(len(self.values), v):
+            raise ValueError(f"vertex {v} out of range for n={len(self.values)}")
         return self.values[v]
 
     @classmethod

@@ -173,7 +173,7 @@ class Graph:
         return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        inside = _is_vertex(self, u), _is_vertex(self, v)
+        inside = _is_vertex(self.n, u), _is_vertex(self.n, v)
         return all(inside) and v in self._adjacency[u]
 
     @property
@@ -186,11 +186,11 @@ def _pairs(g: Graph) -> Iterator[Edge]:
     return zip(g.us.tolist(), g.vs.tolist())
 
 
-def _is_vertex(g: Graph, v: int) -> bool:
+def _is_vertex(n: int, v: int) -> bool:
     """Whether ``v`` is in 0..n-1; a bool or a non-integer raises ``ValueError``."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise ValueError(f"vertex {v!r} is not an integer")
-    return 0 <= v < g.n
+    return 0 <= v < n
 
 
 def _check_vertices(g: Graph, vs: Iterable[int]) -> set[int]:
@@ -198,7 +198,7 @@ def _check_vertices(g: Graph, vs: Iterable[int]) -> set[int]:
     an integer, not a bool, in 0..n-1."""
     vs = list(vs)
     for v in vs:
-        if not _is_vertex(g, v):
+        if not _is_vertex(g.n, v):
             raise ValueError(f"vertex {v} out of range for n={g.n}")
     return set(vs)
 
@@ -206,7 +206,7 @@ def _check_vertices(g: Graph, vs: Iterable[int]) -> set[int]:
 def _edge_index(g: Graph, u: int, v: int) -> int:
     """The index of the edge {u, v} in the arrays of ``g``, found by binary
     search; a non-edge raises ``ValueError`` naming the pair."""
-    if all((_is_vertex(g, u), _is_vertex(g, v))):
+    if all((_is_vertex(g.n, u), _is_vertex(g.n, v))):
         a, b = _normalize_edge(u, v)
         lo, hi = g.us.searchsorted((a, a + 1)).tolist()
         i = lo + int(g.vs[lo:hi].searchsorted(b))

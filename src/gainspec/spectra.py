@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import graphs
-from .gains import GainGraph, all_ones, kronecker
+from .gains import GainGraph, all_ones, induced_gain_subgraph, kronecker
 from .graphs import Graph
 
 HERMITIAN_TOL = 1e-12
@@ -163,64 +163,33 @@ def _singular_values(b: np.ndarray) -> np.ndarray:
 def _component_eigenvalues(phi: GainGraph) -> np.ndarray:
     """Eigenvalues of A, unsorted, solved one component at a time.
 
-    Each block is built from the edge and gain arrays directly,
-    never the n x n matrix: a bipartite component as its side-0 x side-1
-    biadjacency block, any other as its own Hermitian block.  Blocks of one
-    kind and shape are stacked and solved in one call.  Isolated vertices
-    and the |p - q| kernel of a bipartite block are exact zeros.
+    Each block is the adjacency matrix of its component's induced gain
+    subgraph, never the n x n matrix: a bipartite component's side-0 x
+    side-1 biadjacency part, or any other's whole Hermitian block.  Blocks
+    of one kind and shape are stacked and solved in one call.  Isolated
+    vertices and the |p - q| kernel of a bipartite block are exact zeros.
     """
-    g = phi.graph
-    bip = g._bipartition
-    side = bip.side
-    # position of each vertex within its block: its side of a bipartite
-    # component, or the whole component otherwise
-    comp_of = [0] * g.n
-    pos = [0] * g.n
-    shapes = []
-    for k, comp in enumerate(bip.components):
-        counts = [0, 0]
-        for v in comp:
-            half = side[v] if bip.exists[k] else 0
-            comp_of[v], pos[v] = k, counts[half]
-            counts[half] += 1
-        shapes.append(counts)
-    us, vs, z = g.us, g.vs, phi.gains
-    comp_arr, pos_arr = np.array(comp_of), np.array(pos)
-    # orient every edge from side 0 to side 1 (A[v, u] = conj(A[u, v])); a
-    # non-bipartite block sets both entries, so orientation is immaterial there
-    flip = np.array(side)[us] == 1
-    rows = pos_arr[np.where(flip, vs, us)]
-    cols = pos_arr[np.where(flip, us, vs)]
-    z = np.where(flip, z.conj(), z)
-    edge_comp = comp_arr[us]
+    bip = phi.graph._bipartition
+    side = np.array(bip.side, dtype=bool)
+    stacks: dict[tuple[bool, tuple[int, ...]], list[np.ndarray]] = {}
+    for comp, bipartite in zip(bip.components, bip.exists):
+        if len(comp) > 1:
+            block = adjacency(induced_gain_subgraph(phi, comp))
+            if bipartite:
+                half = side[list(comp)]
+                block = block[np.ix_(~half, half)]
+            stacks.setdefault((bipartite, block.shape), []).append(block)
 
-    # stack the blocks with edges by kind and shape; slot[k] is block k's
-    # place in its stack
-    stacks: dict[tuple[bool, int, int], list[int]] = {}
-    for k in np.flatnonzero(np.bincount(edge_comp, minlength=len(shapes))).tolist():
-        stacks.setdefault((bip.exists[k], *shapes[k]), []).append(k)
-    stack_of = np.zeros(len(shapes), dtype=np.intp)
-    slot = np.zeros(len(shapes), dtype=np.intp)
-    for j, members in enumerate(stacks.values()):
-        stack_of[members] = j
-        slot[members] = np.arange(len(members))
-    edge_stack = stack_of[edge_comp]
-    order = np.argsort(edge_stack, kind="stable")
-    starts = np.searchsorted(edge_stack[order], np.arange(len(stacks) + 1))
-
-    vals = np.zeros(g.n)
+    vals = np.zeros(phi.graph.n)
     filled = 0
-    for j, ((bipartite, p, q), members) in enumerate(stacks.items()):
-        e = order[starts[j] : starts[j + 1]]
-        at, r, c, w = slot[edge_comp[e]], rows[e], cols[e], z[e]
-        blocks = np.zeros((len(members), p, q if bipartite else p), dtype=complex)
-        blocks[at, r, c] = w
+    for (bipartite, _), blocks in stacks.items():
+        # a lone block goes as a view, as np.stack would copy it
+        stack = blocks[0][None] if len(blocks) == 1 else np.stack(blocks)
         if bipartite:
-            s = _singular_values(blocks)
+            s = _singular_values(stack)
             part = np.concatenate([s, -s], axis=1)
         else:
-            blocks[at, c, r] = w.conj()
-            part = _eigh(blocks)
+            part = _eigh(stack)
         vals[filled : filled + part.size] = part.ravel()
         filled += part.size
     return vals

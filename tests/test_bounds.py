@@ -394,6 +394,12 @@ def test_run_lemma_suite_rejects_negative_trials(trials):
         run_lemma_suite(seed=1, trials=trials, nmax=6)
 
 
+@pytest.mark.parametrize("trials", [-1, -5])
+def test_chorded_hexagon_checker_rejects_negative_trials(trials):
+    with pytest.raises(ValueError, match=f"trials must be >= 0, got {trials}"):
+        check_c6tilde_lemma(1, trials)
+
+
 @pytest.mark.parametrize("nmax", [1, 0, -3])
 def test_run_lemma_suite_rejects_nmax_below_two(nmax):
     with pytest.raises(ValueError, match=f"nmax must be >= 2, got {nmax}"):

@@ -6,6 +6,7 @@ import random
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,6 +148,22 @@ def test_gain_reads_the_arrays_of_a_bulk_parsed_graph():
     assert "forward" not in parsed.__dict__
 
 
+def test_cycle_gain_builds_no_adjacency_of_a_bulk_parsed_graph():
+    from gainspec import fileio
+
+    text = fileio.serialize_gain_graph(all_ones(complete_graph(40)))
+    assert fileio._parse_canonical(text) is not None
+    parsed = fileio.parse_gain_graph(text)
+    assert cycle_gain(parsed, [0, 1, 2]) == 1.0
+    assert "_adjacency" not in parsed.graph.__dict__
+    assert "forward" not in parsed.__dict__
+
+
+def test_cycle_gain_names_the_missing_edge():
+    with pytest.raises(ValueError, match=r"^\(3, 0\) is not an edge$"):
+        cycle_gain(all_ones(path_graph(4)), [0, 1, 2, 3])
+
+
 def test_gain_is_bit_equal_to_the_forward_view():
     rng = random.Random(31)
     graphs = [chorded_six_cycle(), gnp_graph(12, 0.5, rng), gnp_graph(50, 0.2, rng)]
@@ -215,6 +232,14 @@ def test_switch_identity_and_cancellation():
     assert same.gain(0, 1) == phi.gain(0, 1)
     cancel = switch(phi, SwitchingFunction((1.0 + 0.0j, -1j)))
     assert cmath.isclose(cancel.gain(0, 1), 1.0, abs_tol=1e-15)
+
+
+def test_switching_function_refuses_what_is_not_its_vertex():
+    zeta = SwitchingFunction((1.0 + 0.0j, 1j))
+    assert zeta(1) == zeta(np.int64(1)) == 1j
+    for v in (-1, True, 2, 1.0):
+        with pytest.raises(ValueError, match="is not an integer|out of range"):
+            zeta(v)
 
 
 def test_switch_rejects_a_function_of_the_wrong_length():

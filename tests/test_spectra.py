@@ -623,6 +623,64 @@ def test_per_component_path_stacks_blocks_of_one_shape(monkeypatch):
     assert spectrum(fresh).energy == spec.energy
 
 
+def test_per_component_blocks_are_the_induced_adjacency_matrices(monkeypatch):
+    g = empty_graph(0)
+    for block in [complete_bipartite(2, 3)] * 4 + [cycle_graph(3)] * 3 + [
+        complete_bipartite(3, 2),
+        cycle_graph(5),
+        empty_graph(2),
+    ]:
+        g = disjoint_union(g, block)
+    phi = random_gain_graph(g, random.Random(73))
+    assert g.n >= graphs.ARRAY_MIN_ORDER
+    real_eigh, real_svd = np.linalg.eigh, np.linalg.svd
+    solved = []
+
+    def recording(solver, name):
+        def call(a, *args, **kwargs):
+            solved.append((name, a.copy()))
+            return solver(a, *args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", recording(real_eigh, "eigh"))
+    monkeypatch.setattr(np.linalg, "svd", recording(real_svd, "svd"))
+    spectrum(phi)
+    bip = g._bipartition
+    expected = {}
+    for comp, bipartite in zip(bip.components, bip.exists):
+        if len(comp) > 1:
+            block = adjacency(induced_gain_subgraph(phi, comp))
+            if bipartite:
+                half = np.array([bip.side[v] == 1 for v in comp])
+                block = block[np.ix_(~half, half)]
+            expected.setdefault(("svd" if bipartite else "eigh", block.shape), []).append(block)
+    assert len(solved) == len(expected) == 4
+    for name, stack in solved:
+        blocks = expected[name, stack.shape[1:]]
+        assert stack.shape[0] == len(blocks)
+        for got, want in zip(stack, blocks):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_per_component_solve_copies_no_lone_block():
+    import tracemalloc
+
+    rng = random.Random(97)
+    g = gnp_graph(400, 0.05, rng)
+    assert graphs.is_connected(g) and not graphs.bipartition(g).is_bipartite
+    phi = random_gain_graph(g, rng)
+    tracemalloc.start()
+    try:
+        spectrum(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the block, its eigenvectors, the residual product and LAPACK's work
+    # space; one more copy of the block would pass the bound
+    assert peak < 4.5 * 16 * g.n**2
+
+
 @pytest.mark.usefixtures("array_paths")
 def test_svd_residual_guard_names_the_block_in_a_stack(monkeypatch):
     real_svd = np.linalg.svd
