@@ -109,7 +109,7 @@ def _write(phi: GainGraph, out: str | None, comment: str) -> None:
     if out:
         fileio.save_gain_graph(phi, out, comment=comment)
     else:
-        sys.stdout.write(fileio.serialize_gain_graph(phi, comment=comment))
+        sys.stdout.writelines(fileio._ugg_chunks(phi, comment))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from . import gains, graphs
 from .gains import GainGraph
 from .graphs import Graph
@@ -46,16 +48,16 @@ def ktt_union_graph(parts: Sequence[int], isolated: int = 0) -> Graph:
     """Disjoint union of complete bipartite blocks with sides parts[j],
     plus ``isolated`` extra vertices, numbered block by block (side 0
     first), isolated vertices last."""
-    edges: list[tuple[int, int]] = []
+    us, vs = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     n = 0
     for t in parts:
-        if t < 1:
-            raise ValueError("block sides must be positive")
-        edges.extend((n + i, n + t + j) for i in range(t) for j in range(t))
+        t = graphs._count(t, "block sides must be positive integers", 1)
+        u, v = graphs._biclique(n, t, t)
+        us.append(u)
+        vs.append(v)
         n += 2 * t
-    if isolated < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {isolated}")
-    return Graph(n + isolated, edges)
+    isolated = graphs._count(isolated, "isolated vertices need an integer count >= 0")
+    return Graph.from_arrays(n + isolated, np.concatenate(us), np.concatenate(vs))
 
 
 def extremal_union(

@@ -18,18 +18,25 @@ validating constructors then check ranges and ascending (u, v) order.  Any
 other file, and any file failing one of those checks, goes through the line
 loop, which accepts the general format and is the only source of error
 messages, so the error text does not depend on the path.
+
+Writing has one path: a generator formats the header, then the edge lines
+a fixed number of edges at a time.  ``save_gain_graph`` and the command
+line write each piece as it comes, so their memory follows that chunk, not
+the edge count; ``serialize_gain_graph`` joins the pieces.
 """
 
 from __future__ import annotations
 
+import cmath
 import io
 import math
 import warnings
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .gains import GainGraph, gain_angle, unit_from_angle
+from .gains import GainGraph, unit_from_angle
 from .graphs import Graph
 
 # Longest vertex count the bulk path reads: 15 digits keep it below 2**53.
@@ -37,6 +44,8 @@ MAX_DIGITS = 15
 # Bytes the body of a bulk-parsed file may hold, and one row of it.
 _EDGE_BYTES = b"0123456789.+-eE \n"
 _EDGE_ROW = [("u", np.intp), ("v", np.intp), ("theta", np.float64)]
+# Edges formatted per piece of written text, so writing holds one piece, not the file.
+_CHUNK_EDGES = 1024
 
 
 class GainGraphParseError(ValueError):
@@ -154,15 +163,21 @@ def _parse_lines(text: str) -> GainGraph:
 
 def serialize_gain_graph(phi: GainGraph, comment: str | None = None) -> str:
     """The ``ugg`` text of ``phi``, edges in ascending (u, v) order."""
-    lines = []
-    if comment:
-        lines.extend(f"# {c}" for c in comment.splitlines())
-    lines.append(f"ugg {phi.graph.n}")
+    return "".join(_ugg_chunks(phi, comment))
+
+
+def _ugg_chunks(phi: GainGraph, comment: str | None) -> Iterator[str]:
+    """The ``ugg`` text of ``phi`` in pieces: the comment and header lines,
+    then the lines of at most ``_CHUNK_EDGES`` edges at a time."""
+    head = [f"# {c}" for c in comment.splitlines()] if comment else []
+    yield "\n".join([*head, f"ugg {phi.graph.n}"]) + "\n"
     us, vs, gains = phi.graph.us, phi.graph.vs, phi.gains
-    # gain_angle per edge: numpy's angle differs from it in the last bit
-    angles = map(gain_angle, gains.tolist())
-    lines.extend(map("{} {} {:.17g}".format, us.tolist(), vs.tolist(), angles))
-    return "\n".join(lines) + "\n"
+    for a in range(0, phi.graph.m, _CHUNK_EDGES):
+        b = a + _CHUNK_EDGES
+        # cmath.phase per gain: numpy's angle differs from it in the last bit
+        angles = map(cmath.phase, gains[a:b].tolist())
+        lines = zip(us[a:b].tolist(), vs[a:b].tolist(), angles)
+        yield "".join(map("%d %d %.17g\n".__mod__, lines))
 
 
 def load_gain_graph(path: str | Path) -> GainGraph:
@@ -179,4 +194,6 @@ def load_gain_graph(path: str | Path) -> GainGraph:
 
 
 def save_gain_graph(phi: GainGraph, path: str | Path, comment: str | None = None) -> None:
-    Path(path).write_text(serialize_gain_graph(phi, comment), encoding="utf-8")
+    """Write the ``ugg`` text of ``phi`` to ``path``, one chunk of edges at a time."""
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(_ugg_chunks(phi, comment))

@@ -183,11 +183,18 @@ def switch(phi: GainGraph, zeta: SwitchingFunction) -> GainGraph:
     """Replace each gain(u, v) by zeta(u)^-1 * gain(u, v) * zeta(v)."""
     if len(zeta.values) != phi.graph.n:
         raise ValueError("switching function must cover every vertex")
-    values = zeta.values
-    edges = zip(phi.graph.us.tolist(), phi.graph.vs.tolist(), phi.gains.tolist())
-    return GainGraph.from_gains(
-        phi.graph, [values[u].conjugate() * z * values[v] for u, v, z in edges]
-    )
+    values = np.array(zeta.values, dtype=complex)
+    # conj(zeta(u)) * gain * zeta(v) in real parts, multiplied and added in the
+    # order CPython's complex product uses, so each gain is the one
+    # ``zeta(u).conjugate() * z * zeta(v)`` gives to the last bit; numpy's
+    # complex product rounds differently
+    ar, ai = values.real[phi.graph.us], -values.imag[phi.graph.us]
+    br, bi = values.real[phi.graph.vs], values.imag[phi.graph.vs]
+    zr, zi = phi.gains.real, phi.gains.imag
+    pr, pi = ar * zr - ai * zi, ar * zi + ai * zr
+    switched = np.empty(phi.graph.m, dtype=complex)
+    switched.real, switched.imag = pr * br - pi * bi, pr * bi + pi * br
+    return GainGraph.from_gains(phi.graph, switched)
 
 
 @dataclass(frozen=True, eq=False)

@@ -47,8 +47,13 @@ class Graph:
         """The graph of these integer pairs (u, v), u < v, in any order; duplicates
         collapse.  A bool, which numpy reads as an int, is refused here."""
         pairs = sorted(dict.fromkeys(edges))
-        flat = list(chain.from_iterable(pairs))
-        if set(map(len, pairs)) - {2} or not {bool, np.bool_}.isdisjoint(map(type, flat)):
+        try:  # a member that is not a sequence raises TypeError here
+            flat = list(chain.from_iterable(pairs))
+            ok = set(map(len, pairs)) <= {2} and {bool, np.bool_}.isdisjoint(
+                map(type, flat))
+        except TypeError:
+            ok = False
+        if not ok:
             raise ValueError("edges must be pairs of integer vertices")
         ends = np.array(flat) if flat else np.empty(0, dtype=np.intp)
         return cls.from_arrays(n, ends[0::2], ends[1::2])
@@ -63,8 +68,7 @@ class Graph:
         """The graph whose edges are the pairs (us[i], vs[i]).  Every graph is
         built here: n a nonnegative integer, integer endpoints 0 <= u < v < n,
         strictly ascending in (u, v), kept in its own read-only copies."""
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
+        n = _count(n, "vertex count must be a nonnegative integer")
         us, vs = np.asarray(us), np.asarray(vs)
         if (us.dtype.kind not in "iu" or vs.dtype.kind not in "iu"
                 or us.ndim != 1 or us.shape != vs.shape):
@@ -81,7 +85,7 @@ class Graph:
             raise ValueError(f"edges must be distinct pairs 0 <= u < v < {n}, ascending")
         us.flags.writeable = vs.flags.writeable = False
         g = object.__new__(cls)
-        g.__dict__.update(n=int(n), us=us, vs=vs)
+        g.__dict__.update(n=n, us=us, vs=vs)
         return g
 
     def __reduce__(self):
@@ -191,6 +195,14 @@ def _is_vertex(n: int, v: int) -> bool:
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise ValueError(f"vertex {v!r} is not an integer")
     return 0 <= v < n
+
+
+def _count(k: int, message: str, least: int = 0) -> int:
+    """``k`` as an int, once it is checked to be an integer (not a bool) that
+    is at least ``least``; anything else raises ``ValueError`` with ``message``."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < least:
+        raise ValueError(f"{message}, got {k!r}")
+    return int(k)
 
 
 def _check_vertices(g: Graph, vs: Iterable[int]) -> set[int]:
@@ -307,35 +319,41 @@ def empty_graph(n: int) -> Graph:
     return Graph(n, ())
 
 
+def _biclique(first: int, s: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending endpoint arrays of the complete bipartite graph between
+    the sides first..first+s-1 and first+s..first+s+t-1."""
+    return (np.repeat(np.arange(first, first + s), t),
+            np.tile(np.arange(first + s, first + s + t), s))
+
+
 def path_graph(n: int) -> Graph:
-    if n < 0:
-        raise ValueError("path needs n >= 0")
-    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
+    n = _count(n, "path needs an integer n >= 0")
+    us = np.arange(max(n - 1, 0))
+    return Graph.from_arrays(n, us, us + 1)
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
-    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
+    n = _count(n, "cycle needs an integer n >= 3", 3)
+    # (0, 1), (0, n-1), then (i, i+1) for i = 1..n-2
+    us = np.concatenate(([0], np.arange(n - 1)))
+    vs = np.concatenate(([1, n - 1], np.arange(2, n)))
+    return Graph.from_arrays(n, us, vs)
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 0:
-        raise ValueError("complete graph needs n >= 0")
-    return Graph.from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
+    n = _count(n, "complete graph needs an integer n >= 0")
+    return Graph.from_arrays(n, *np.triu_indices(n, 1))
 
 
 def complete_bipartite(s: int, t: int) -> Graph:
-    if s < 0 or t < 0:
-        raise ValueError("complete bipartite sides must be nonnegative")
-    return Graph.from_edges(s + t, ((i, s + j) for i in range(s) for j in range(t)))
+    s, t = (_count(k, "complete bipartite sides must be nonnegative integers")
+            for k in (s, t))
+    return Graph.from_arrays(s + t, *_biclique(0, s, t))
 
 
 def star_graph(t: int) -> Graph:
     """Star with t leaves: complete_bipartite(1, t)."""
-    if t < 0:
-        raise ValueError("star needs t >= 0 leaves")
-    return complete_bipartite(1, t)
+    return complete_bipartite(1, _count(t, "star needs an integer t >= 0 leaves"))
 
 
 def chorded_six_cycle() -> Graph:

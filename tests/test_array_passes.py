@@ -280,6 +280,9 @@ def test_producers_keep_owned_read_only_arrays(name):
         lambda: Graph.from_arrays(4, [0.0], [1.0]),
         lambda: Graph.from_arrays(4, [False], [True]),
         lambda: GainGraph.from_gains(graphs.path_graph(2), [1.0, 1.0]),
+        lambda: Graph(3, [1, 2]),
+        lambda: ktt_union_graph([True]),
+        lambda: complete_bipartite(2.0, 1),
     ],
 )
 def test_public_constructors_keep_every_check(build):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import subprocess
@@ -174,6 +175,59 @@ def test_generate_deterministic(capsys):
     assert first == second
     _, third, _ = run_cli(capsys, "generate", "gnp", "8", "0.5", "--seed", "2")
     assert first != third
+
+
+# sha256 of what ``generate`` wrote when it built, switched and formatted one
+# edge at a time in Python; the array build, the array switch and the
+# chunked writer keep every byte
+GENERATED_SHA256 = {
+    "extremal-union 300,200 --switched --isolated 5 --seed 1": "a52ad3fa01b5f75a48d707e0f984141a3ec57529d4e5c0cee4c4059d3265c6d9",
+    "extremal-union 3,2 --switched --isolated 5 --seed 1": "db3c2f988fc60087478962e72b492d59294b5950b971c30fbd4d83c659927898",
+    "extremal-union 20,12,1 --switched --isolated 3 --seed 7": "ed9372cfd9e1deea2118302409c2c39135e62346fd6daceca5bc3a529c9ecd94",
+    "knn 0": "cde6ea3100aa32ad28633989446de02fe2eeb8e0c28d081c7e889ad5272ba5e6",
+    "knn 40": "2823582a905a24446032d6a9911d338221d57207f012953be01ce0e2159521c0",
+    "complete 0": "a41b033be7f3cb6b003df4e9a5fe2094ede68083db64bb30039611ac692d4e9b",
+    "complete 5": "d19f911cac300e724b4fded35194a7444c14c333478d1a50c02f8f2c34c081e5",
+    "complete 40": "7a3120f745ef2b2261115392a2e5ba05663a9cdb781d41f59eff4423fea1d0eb",
+    "cycle 3": "a6407baffb5bb3f5d4453fb91a3ec88b202d76043529e95f1421337c3961d388",
+    "cycle 50": "b329873a808636132f3bdfad68c4a205da6b807814e35f6f0b22bad9771374f3",
+    "path 0": "6a2185c7f59bd100c3243bb1c9fca3cc9c0c1d6fd657299519644e7dc026fc7a",
+    "path 1": "df87343dfcafb525ed57962e2918e353fd4a29a89b23a79dbdf1fd74385cc11b",
+    "path 50": "f4b96533760f41cbf46201d68cfbad48ca512171327bb7a724d702de026282a0",
+    "star 0": "a0e99cc85a55e182d3bba85455ddaff0b9aa0a1a74d5508a269ba0b32bcab0ba",
+    "star 40": "78ddf0d0197778b81cba36ecf0cb1d8509eddb88508f5ccdac448e624e873452",
+    "complete_bipartite 3 0": "a078292206da2e2f3a44971616bca7fe76da55388fd470925c678811ca13b635",
+    "complete_bipartite 7 40": "534f3e1200765d8bd7951a3f57b4f811c8adf3c21537bac3110d91b74790aba6",
+    "c6tilde": "72b890a5ad6b55da68fc583f7bb9ee71bff7bd9f7d1f4154ea7a842237c1d835",
+    "gnp 60 0.1 --seed 3": "ba276b9ef4f610b5944069be63d97f05ac370571b7914fdba60f007a4e58c21e",
+}
+
+
+@pytest.mark.parametrize("argv", GENERATED_SHA256)
+def test_generate_writes_the_recorded_bytes(capsys, tmp_path, argv):
+    path = tmp_path / "generated.ugg"
+    code, _, _ = run_cli(capsys, "generate", *argv.split(), "--out", str(path))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "generate", *argv.split())
+    assert code == 0 and out.encode() == path.read_bytes()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GENERATED_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ["extremal-union", "40,30", "--switched"], ["complete", "60"], ["knn", "40"],
+    ["cycle", "50"], ["path", "50"],
+])
+def test_generate_builds_no_graph_from_pairs_and_no_view(capsys, monkeypatch, argv):
+    from gainspec import GainGraph, Graph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate built a graph from pairs, or an edge or gain view")
+
+    monkeypatch.setattr(Graph, "__new__", refuse)
+    monkeypatch.setattr(Graph, "edges", property(refuse))
+    monkeypatch.setattr(GainGraph, "forward", property(refuse))
+    code, out, err = run_cli(capsys, "generate", *argv)
+    assert code == 0 and out.startswith("# gainspec generate") and err == ""
 
 
 def test_generate_seed_env_override(capsys, monkeypatch):

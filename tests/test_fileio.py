@@ -323,6 +323,37 @@ def test_serialize_sorts_a_fresh_gain_graph_once(monkeypatch):
         assert sorts == []
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 7])
+def test_chunked_writer_gives_the_edge_by_edge_text(monkeypatch, tmp_path, m):
+    # chunks of 3 edges: an empty body, a part chunk, whole chunks and both
+    monkeypatch.setattr(fileio, "_CHUNK_EDGES", 3)
+    rng = random.Random(m)
+    pairs = rng.sample([(u, v) for v in range(6) for u in range(v)], m)
+    phi = random_gain_graph(Graph.from_edges(6, pairs), rng)
+    path = tmp_path / "chunked.ugg"
+    for comment in (None, "first\nsecond"):
+        save_gain_graph(phi, path, comment)
+        expected = _serialized_edge_by_edge(phi, comment)
+        assert path.read_bytes().decode() == serialize_gain_graph(phi, comment) == expected
+
+
+def test_save_holds_a_chunk_not_the_text(tmp_path):
+    import gc
+    import tracemalloc
+
+    phi = extremal_union([250, 200], switch_seed=5)
+    path = tmp_path / "big.ugg"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        save_gain_graph(phi, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert phi.graph.m >= 100_000
+    assert peak < path.stat().st_size / 4
+
+
 # ---------------------------------------------------------------------------
 # A bulk-parsed gain graph is its arrays: the views ``edges`` and
 # ``forward`` are never built on the analyze, double or generate paths.

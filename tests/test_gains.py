@@ -242,6 +242,26 @@ def test_switching_function_refuses_what_is_not_its_vertex():
             zeta(v)
 
 
+@pytest.mark.parametrize("n", [5, 31, 32, 200])
+def test_switch_is_bit_equal_to_the_per_edge_complex_product(n):
+    rng = random.Random(n)
+    signed_zeros = [complex(1, -0.0), complex(-0.0, 1), complex(-1, 0.0),
+                    complex(-1, -0.0), complex(0.0, -1), complex(-0.0, -1)]
+
+    def draw():
+        if rng.random() < 0.3:
+            return rng.choice(signed_zeros)
+        return unit_from_angle(rng.uniform(0.0, 2.0 * math.pi))
+
+    g = gnp_graph(n, 0.5, rng)
+    phi = GainGraph.from_gains(g, [draw() for _ in range(g.m)])
+    zeta = SwitchingFunction(tuple(draw() for _ in range(n)))
+    edges = zip(g.us.tolist(), g.vs.tolist(), phi.gains.tolist())
+    expected = [zeta.values[u].conjugate() * z * zeta.values[v] for u, v, z in edges]
+    got = switch(phi, zeta).gains
+    assert got.view(np.float64).tobytes() == np.array(expected).view(np.float64).tobytes()
+
+
 def test_switch_rejects_a_function_of_the_wrong_length():
     with pytest.raises(ValueError, match="must cover every vertex"):
         switch(all_ones(complete_graph(3)), SwitchingFunction.identity(2))

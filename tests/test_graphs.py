@@ -43,6 +43,9 @@ def test_construction_validates():
                      (True, frozenset())]:
         with pytest.raises(ValueError):
             Graph(n, edges)
+    # a member that is not a pair is refused as one, not by a TypeError
+    with pytest.raises(ValueError, match="^edges must be pairs of integer vertices$"):
+        Graph(3, [1, 2])
     # the array constructor takes distinct edges in ascending order only
     for us, vs in [([1, 0], [2, 3]), ([0, 0], [1, 1]), ([0], [0]), ([0], [4])]:
         with pytest.raises(ValueError):
