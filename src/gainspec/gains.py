@@ -221,7 +221,7 @@ def is_balanced(phi: GainGraph) -> BalanceCertificate:
     every non-tree edge then also switches to 1; the switched value of a
     non-tree edge equals the gain of its fundamental cycle.  On failure the
     witness cycle is rebuilt from the first failing non-tree edge plus the
-    tree path between its endpoints.
+    tree path between its endpoints, and its gain is ``cycle_gain`` of it.
     """
     g = phi.graph
     order, parent = g._forest[:2]
@@ -259,13 +259,8 @@ def is_balanced(phi: GainGraph) -> BalanceCertificate:
         switched = zeta[u].conjugate() * z * zeta[v]
         if abs(switched - 1.0) > BALANCE_TOL:
             cyc = _fundamental_cycle(parent, u, v)
-            # the gain of the cycle, multiplied as cycle_gain multiplies it
-            total = 1.0 + 0.0j
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                total *= (lift[a] if parent[a] == b
-                          else z if (a, b) == (u, v) else lift[b].conjugate())
             return BalanceCertificate(
-                balanced=False, violating_cycle=cyc, violation_gain=total
+                balanced=False, violating_cycle=cyc, violation_gain=cycle_gain(phi, cyc)
             )
     return BalanceCertificate(
         balanced=True, witness=SwitchingFunction(tuple(zeta))

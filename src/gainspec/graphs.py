@@ -178,7 +178,10 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         inside = _is_vertex(self.n, u), _is_vertex(self.n, v)
-        return all(inside) and v in self._adjacency[u]
+        try:  # by the binary search of ``gain``, so no adjacency list is built
+            return all(inside) and _edge_index(self, u, v) >= 0
+        except ValueError:  # a non-edge
+            return False
 
     @property
     def m(self) -> int:
@@ -290,12 +293,12 @@ def delete_edges(g: Graph, cut: Iterable[tuple[int, int]]) -> Graph:
 
 
 def _deleted(g: Graph, cut: Iterable[tuple[int, int]]) -> tuple[Graph, np.ndarray]:
-    """``delete_edges``, and the mask of the edges of ``g`` it keeps."""
+    """``delete_edges``, and the mask of the edges of ``g`` it keeps, from one
+    pass: every cut pair is an edge iff it drops one edge per distinct pair."""
     drop = frozenset(_normalize_edge(u, v) for u, v in cut)
-    pairs = list(_pairs(g))
-    if not drop.issubset(pairs):
-        raise ValueError(f"not edges of the graph: {sorted(drop.difference(pairs))}")
-    keep = np.fromiter((e not in drop for e in pairs), bool, len(pairs))
+    keep = np.fromiter((e not in drop for e in _pairs(g)), bool, g.m)
+    if g.m - np.count_nonzero(keep) != len(drop):
+        raise ValueError(f"not edges of the graph: {sorted(drop.difference(_pairs(g)))}")
     return Graph.from_arrays(g.n, g.us[keep], g.vs[keep]), keep
 
 

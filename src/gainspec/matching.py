@@ -32,7 +32,7 @@ class MatchingResult:
 
 
 def _alternating_bfs(
-    root: int, adj: list[tuple[int, ...]], match: list[int]
+    root: int, adj: tuple[tuple[int, ...], ...], match: list[int]
 ) -> tuple[int, list[int]]:
     """Grow an alternating tree from an exposed root, contracting blossoms.
 
@@ -99,8 +99,7 @@ def _alternating_bfs(
 
 def maximum_matching(g: Graph) -> MatchingResult:
     """Maximum cardinality matching via the blossom algorithm."""
-    n = g.n
-    adj = [g.neighbors(v) for v in range(n)]
+    n, adj = g.n, g._adjacency
     match = [-1] * n
     # deterministic greedy seed, lowest indices first
     for v in range(n):

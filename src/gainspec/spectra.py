@@ -195,12 +195,11 @@ def _component_eigenvalues(phi: GainGraph) -> np.ndarray:
     return vals
 
 
-def _check_sums(specs: Sequence[Spectrum], n: int, sizes: Sequence[int]) -> None:
-    """The sanity checks of ``spectrum`` on the spectra of gain graphs of
-    order n with ``sizes`` edges: for a gain graph the eigenvalues must sum
-    to 0 (zero diagonal) and their squares to 2m (unit-modulus off-diagonal
-    entries)."""
-    vals = np.stack([s.eigenvalues for s in specs])
+def _check_sums(vals: np.ndarray, n: int, sizes: Sequence[int]) -> None:
+    """The sanity checks of ``spectrum`` on the solved eigenvalue rows
+    ``vals`` of gain graphs of order n with ``sizes`` edges: for a gain
+    graph the eigenvalues must sum to 0 (zero diagonal) and their squares
+    to 2m (unit-modulus off-diagonal entries)."""
     _fail_first(
         np.abs(np.sum(vals, axis=1)) > 1e-8 * n, RuntimeError,
         lambda i: "spectrum sanity: eigenvalue sum is not ~0",
@@ -230,13 +229,13 @@ def spectra_of(phis: Iterable[GainGraph]) -> list[Spectrum]:
             stacks.setdefault(n, []).append(i)
         else:
             vals = np.sort(_component_eigenvalues(phi))[None]
+            _check_sums(vals, n, [m])
             (specs[i],) = _descending_spectra(vals)
-            _check_sums([specs[i]], n, [m])
     for n, members in stacks.items():
         group = [phis[i] for i in members]
-        solved = _descending_spectra(_eigh(np.stack([adjacency(phi) for phi in group])))
-        _check_sums(solved, n, [phi.graph.m for phi in group])
-        for i, spec in zip(members, solved):
+        vals = _eigh(np.stack([adjacency(phi) for phi in group]))
+        _check_sums(vals, n, [phi.graph.m for phi in group])
+        for i, spec in zip(members, _descending_spectra(vals)):
             specs[i] = spec
     return specs
 

@@ -74,6 +74,29 @@ def test_bound_report_perturbed_square():
     assert not rep.structurally_extremal and rep.consistent
 
 
+@pytest.mark.parametrize("t", [2, 3])
+def test_gap_near_balance_agrees_with_a_50_digit_oracle(t):
+    # K_{t,t}(delta): one gain of K_{t,t} turned by delta.  The oracle solves
+    # the stored matrix to 50 digits; the tight verdict is only judged where
+    # the exact gap clears GAP_TIGHT_TOL by more than the gap's own error.
+    mpmath = pytest.importorskip("mpmath")
+    from gainspec.bounds import GAP_TIGHT_TOL
+    from gainspec.spectra import adjacency
+
+    for delta in (10.0**e for e in range(-12, -2)):
+        phi = set_gain(all_ones(complete_bipartite(t, t)), 0, t, unit_from_angle(delta))
+        report = bound_report(phi)
+        with mpmath.workdps(50):
+            a = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row]
+                               for row in adjacency(phi).tolist()])
+            values = mpmath.eighe(a, eigvals_only=True)
+            mp_gap = float(mpmath.fsum(abs(x) for x in values) - 2 * report.mu)
+        assert report.mu == t
+        assert abs(report.gap - mp_gap) <= 1e-12
+        if abs(mp_gap - GAP_TIGHT_TOL) > 1e-12:
+            assert report.numerically_tight == (mp_gap <= GAP_TIGHT_TOL)
+
+
 def test_extremal_structure_examples():
     g = disjoint_union(
         disjoint_union(complete_bipartite(3, 3), complete_bipartite(1, 1)),

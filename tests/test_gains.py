@@ -30,12 +30,14 @@ from gainspec import (
     gnp_graph,
     induced_gain_subgraph,
     is_balanced,
+    is_connected,
     kronecker,
     kronecker_graph,
     path_graph,
     random_gain_graph,
     random_switching,
     set_gain,
+    spectrum,
     switch,
     unit,
     unit_from_angle,
@@ -349,6 +351,51 @@ def test_balance_is_switching_invariant():
         phi = random_gain_graph(g, rng)
         zeta = random_switching(g.n, rng)
         assert is_balanced(phi).balanced == is_balanced(switch(phi, zeta)).balanced
+
+
+@pytest.mark.parametrize("n", [12, 40])
+def test_violation_gain_is_the_cycle_gain_of_the_violating_cycle(n):
+    # random gains, and nearly balanced ones: a switched all-ones graph with
+    # one gain turned, by as little as the balance tolerance allows
+    rng = random.Random(59 + n)
+    certified = 0
+    for turn in (3e-9, 1e-6, 1e-2, 2.0) * 5:
+        g = gnp_graph(n, 0.3, rng)
+        nearly = switch(all_ones(g), random_switching(n, rng))
+        k = rng.randrange(g.m)
+        u, v = g.us[k].item(), g.vs[k].item()
+        nearly = set_gain(nearly, u, v, nearly.gain(u, v) * unit_from_angle(turn))
+        for phi in (random_gain_graph(g, rng), nearly):
+            cert = is_balanced(phi)
+            if not cert.balanced:
+                certified += 1
+                expected = cycle_gain(phi, cert.violating_cycle)
+                assert _bits(cert.violation_gain) == _bits(expected)
+    assert certified >= 30
+
+
+def test_reff_spectral_balance_oracle():
+    # For connected G, lambda_1(A(Phi)) <= lambda_1(A(G)), with equality iff
+    # Phi is balanced (N. Reff, Linear Algebra Appl. 2012).
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(120):
+        n = rng.randrange(4, 46)
+        g = gnp_graph(n, rng.uniform(min(1.0, 2.0 * math.log(n) / n), 1.0), rng)
+        if not is_connected(g):
+            continue
+        if rng.random() < 0.5:
+            phi = switch(all_ones(g), random_switching(n, rng))
+        else:
+            phi = random_gain_graph(g, rng)
+        drop = spectrum(all_ones(g)).eigenvalues[0] - spectrum(phi).eigenvalues[0]
+        balanced = is_balanced(phi).balanced
+        seen.add(balanced)
+        if balanced:
+            assert abs(drop) <= 1e-9 * n
+        else:
+            assert drop > 1e-6
+    assert seen == {True, False}
 
 
 def test_kronecker_gain_inheritance():

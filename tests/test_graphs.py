@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import deque
 
 import numpy as np
@@ -270,6 +271,31 @@ def test_delete_edges():
     assert delete_edges(chorded_six_cycle(), [(1, 4)]) == cycle_graph(6)
     with pytest.raises(ValueError):
         delete_edges(cycle_graph(4), [(0, 2)])
+
+
+def test_delete_edges_counts_each_cut_pair_once_and_names_the_non_edges():
+    # a pair given in both orientations, or twice, is one edge of the cut
+    c4 = cycle_graph(4)
+    assert delete_edges(c4, [(0, 1), (1, 0), (0, 1)]) == delete_edges(c4, [(0, 1)])
+    for cut, named in (([(0, 1), (2, 0)], "[(0, 2)]"), ([(1, 1), (3, 2), (3, 1)],
+                                                         "[(1, 1), (1, 3)]")):
+        with pytest.raises(ValueError, match=rf"^not edges of the graph: {re.escape(named)}$"):
+            delete_edges(c4, cut)
+
+
+def test_has_edge_builds_no_adjacency_and_agrees_with_the_edges():
+    from gainspec import fileio
+
+    rng = random.Random(53)
+    for n in (10, 40):
+        g = gnp_graph(n, 0.3, rng)
+        text = fileio.serialize_gain_graph(gains.all_ones(g))
+        assert fileio._parse_canonical(text) is not None
+        parsed = fileio.parse_gain_graph(text).graph
+        for u in range(-1, n + 1):
+            for v in range(-1, n + 1):
+                assert parsed.has_edge(u, v) == ((min(u, v), max(u, v)) in g.edges)
+        assert "_adjacency" not in parsed.__dict__
 
 
 def test_pendant_vertices():
