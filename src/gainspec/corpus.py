@@ -39,8 +39,7 @@ def iter_random_gain_corpus(seed: int, count: int, nmax: int) -> Iterator[GainGr
 
 def random_tree(n: int, rng: random.Random) -> Graph:
     """Uniform-ish random tree: vertex i attaches to a random earlier vertex."""
-    if n < 1:
-        raise ValueError("a tree needs at least one vertex")
+    n = graphs._count(n, "a tree needs at least one vertex", 1)
     return Graph(n, [(rng.randrange(i), i) for i in range(1, n)])
 
 

@@ -152,6 +152,7 @@ class SwitchingFunction:
     values: tuple[complex, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple(map(complex, self.values)))
         for z in self.values:
             if not abs(abs(z) - 1.0) <= UNIT_TOL:
                 raise ValueError("switching values must have unit modulus")
@@ -173,6 +174,7 @@ class SwitchingFunction:
 
 
 def random_switching(n: int, seed: int | random.Random) -> SwitchingFunction:
+    n = graphs._count(n, "switching needs an integer vertex count >= 0")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     return SwitchingFunction.from_angles(
         rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)
@@ -313,8 +315,8 @@ def delete_gain_edges(phi: GainGraph, cut: Iterable[tuple[int, int]]) -> GainGra
 def induced_gain_subgraph(phi: GainGraph, vs: Iterable[int]) -> GainGraph:
     """Gain graph induced on a vertex subset, relabeled like the graph op."""
     # relabeling is monotone, so forward edges stay forward
-    sub, _, inside = graphs._induced(phi.graph, vs)
-    return GainGraph.from_gains(sub, phi.gains[inside])
+    sub, e = next(graphs._induced(phi.graph, [vs]))
+    return GainGraph.from_gains(sub, phi.gains[e])
 
 
 def gain_angle(z: complex) -> float:

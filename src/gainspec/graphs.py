@@ -252,19 +252,29 @@ def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int]
 
     Returns the graph and the old->new vertex relabeling map.
     """
-    return _induced(g, vs)[:2]
-
-
-def _induced(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int], np.ndarray]:
-    """``induced_subgraph``, and the mask of the edges of ``g`` it keeps.
-    The relabeling is monotone, so the kept edges stay ascending."""
     kept = sorted(_check_vertices(g, vs))
-    label = np.full(g.n, -1)
-    label[kept] = np.arange(len(kept))
-    us, ws = label[g.us], label[g.vs]
-    inside = (us >= 0) & (ws >= 0)
-    sub = Graph.from_arrays(len(kept), us[inside], ws[inside])
-    return sub, {old: new for new, old in enumerate(kept)}, inside
+    return next(_induced(g, [kept]))[0], {old: new for new, old in enumerate(kept)}
+
+
+def _induced(g: Graph, sets: Iterable[Iterable[int]]) -> Iterator[tuple[Graph, np.ndarray]]:
+    """Per disjoint vertex set, ``induced_subgraph``'s graph and the indices of
+    its edges in ``g``, from one pass that gives every vertex its set and rank
+    there and one stable sort of the edges by set; monotone ranks keep each
+    set's edges ascending.  Checked at the call, built as each is drawn."""
+    sets = [sorted(_check_vertices(g, part)) for part in sets]
+    flat = np.fromiter(chain.from_iterable(sets), np.intp)
+    labels = np.repeat(np.arange(len(sets)), np.fromiter(map(len, sets), np.intp))
+    group, rank = np.full(g.n, len(sets)), np.zeros(g.n, np.intp)
+    group[flat], rank[flat] = labels, np.arange(len(flat)) - labels.searchsorted(labels)
+    if np.count_nonzero(group < len(sets)) != len(flat):
+        raise ValueError("vertex sets must be disjoint")
+    key = group[g.us]  # an edge not inside one set goes to a last bucket, len(sets)
+    key[key != group[g.vs]] = len(sets)
+    order = np.argsort(key, kind="stable")
+    stops = np.cumsum(np.bincount(key, minlength=len(sets))).tolist()
+    edges = [order[a:b] for a, b in zip([0] + stops, stops)]
+    return ((Graph.from_arrays(len(kept), rank[g.us[e]], rank[g.vs[e]]), e)
+            for kept, e in zip(sets, edges))
 
 
 def components(g: Graph) -> list[tuple[int, ...]]:
@@ -406,6 +416,7 @@ def _kronecker_edges(g: Graph, h: Graph) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def gnp_graph(n: int, p: float, rng: random.Random) -> Graph:
     """Erdos-Renyi G(n, p); pairs are sampled in lexicographic order."""
+    n = _count(n, "G(n, p) needs an integer n >= 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     edges = [

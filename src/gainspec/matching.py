@@ -22,6 +22,8 @@ class MatchingResult:
     saturated: frozenset[int]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "matched_edges", frozenset(self.matched_edges))
+        object.__setattr__(self, "saturated", frozenset(self.saturated))
         seen: set[int] = set()
         for u, v in self.matched_edges:
             if u in seen or v in seen:
@@ -110,7 +112,7 @@ def maximum_matching(g: Graph) -> MatchingResult:
                     match[u] = v
                     break
     for root in range(n):
-        if match[root] != -1:
+        if match[root] != -1 or not adj[root]:  # an isolated root starts no path
             continue
         exposed, parent = _alternating_bfs(root, adj, match)
         if exposed == -1:

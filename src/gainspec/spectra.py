@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import graphs
-from .gains import GainGraph, all_ones, induced_gain_subgraph, kronecker
+from .gains import GainGraph, all_ones, kronecker
 from .graphs import Graph
 
 HERMITIAN_TOL = 1e-12
@@ -165,20 +165,22 @@ def _component_eigenvalues(phi: GainGraph) -> np.ndarray:
 
     Each block is the adjacency matrix of its component's induced gain
     subgraph, never the n x n matrix: a bipartite component's side-0 x
-    side-1 biadjacency part, or any other's whole Hermitian block.  Blocks
+    side-1 biadjacency part, or any other's whole Hermitian block.  One
+    ``graphs._induced`` call relabels every component with an edge.  Blocks
     of one kind and shape are stacked and solved in one call.  Isolated
     vertices and the |p - q| kernel of a bipartite block are exact zeros.
     """
     bip = phi.graph._bipartition
     side = np.array(bip.side, dtype=bool)
+    split = [(c, b) for c, b in zip(bip.components, bip.exists) if len(c) > 1]
+    subs = graphs._induced(phi.graph, [comp for comp, _ in split])
     stacks: dict[tuple[bool, tuple[int, ...]], list[np.ndarray]] = {}
-    for comp, bipartite in zip(bip.components, bip.exists):
-        if len(comp) > 1:
-            block = adjacency(induced_gain_subgraph(phi, comp))
-            if bipartite:
-                half = side[list(comp)]
-                block = block[np.ix_(~half, half)]
-            stacks.setdefault((bipartite, block.shape), []).append(block)
+    for (comp, bipartite), (sub, e) in zip(split, subs):
+        block = adjacency(GainGraph.from_gains(sub, phi.gains[e]))
+        if bipartite:
+            half = side.take(comp)
+            block = block.compress(~half, axis=0).compress(half, axis=1)
+        stacks.setdefault((bipartite, block.shape), []).append(block)
 
     vals = np.zeros(phi.graph.n)
     filled = 0

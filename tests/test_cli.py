@@ -579,3 +579,18 @@ def test_analyze_of_a_blank_body_writes_no_warning(tmp_path, text):
     assert (proc.returncode, proc.stderr) == (0, "")
     report = json.loads(proc.stdout)
     assert (report["n"], report["m"]) == (3, 0)
+
+
+def test_analyze_of_a_975_block_union_is_consistent(capsys, tmp_path):
+    # n = 3905: 975 K_{t,t} blocks with t = 1, 2, 3, switched, 5 isolated vertices
+    path = tmp_path / "blocks.ugg"
+    parts = ",".join(["1,2,3"] * 325)
+    assert main(["generate", "extremal-union", parts, "--switched", "--isolated", "5",
+                 "--seed", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["n"], doc["mu"]) == (3905, 1950)
+    assert doc["consistent"] is True
+    assert doc["numerically_tight"] and doc["structurally_extremal"]

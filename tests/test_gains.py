@@ -244,6 +244,23 @@ def test_switching_function_refuses_what_is_not_its_vertex():
             zeta(v)
 
 
+def test_switching_function_keeps_its_own_tuple():
+    values = [1, 1j]
+    zeta = SwitchingFunction(values)
+    values.append(3)
+    assert zeta.values == (1 + 0j, 1j) and type(zeta.values) is tuple
+    assert all(type(z) is complex for z in zeta.values)
+    with pytest.raises(ValueError, match="out of range"):
+        zeta(2)
+
+
+def test_random_switching_checks_its_count():
+    for bad in (-1, 2.5, True):
+        with pytest.raises(ValueError, match="switching needs an integer vertex count"):
+            random_switching(bad, 0)
+    assert len(random_switching(np.int64(3), 0).values) == 3
+
+
 @pytest.mark.parametrize("n", [5, 31, 32, 200])
 def test_switch_is_bit_equal_to_the_per_edge_complex_product(n):
     rng = random.Random(n)

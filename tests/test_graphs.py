@@ -29,7 +29,7 @@ from gainspec import (
     pendant_vertices,
     star_graph,
 )
-from gainspec.corpus import ktt_union_graph
+from gainspec.corpus import extremal_union, ktt_union_graph, random_tree
 
 
 def test_construction_validates():
@@ -362,3 +362,50 @@ def test_gnp_determinism_and_range():
     assert a == b
     with pytest.raises(ValueError):
         gnp_graph(4, 1.5, random.Random(0))
+
+
+def test_gnp_and_random_tree_check_their_counts():
+    for bad in (5.0, True, -1):
+        with pytest.raises(ValueError, match="G\\(n, p\\) needs an integer n >= 0"):
+            gnp_graph(bad, 0.5, random.Random(0))
+    for bad in (2.5, 0, False):
+        with pytest.raises(ValueError, match="a tree needs at least one vertex"):
+            random_tree(bad, random.Random(0))
+    assert gnp_graph(np.int64(4), 1.0, random.Random(0)) == complete_graph(4)
+    assert random_tree(np.int64(1), random.Random(0)) == empty_graph(1)
+
+
+def _relabelling_cases():
+    rng = random.Random(23)
+    yield gains.random_gain_graph(ktt_union_graph([1] * 2048), rng)
+    yield extremal_union([1, 2, 3] * 325, isolated=5, switch_seed=4)
+    yield gains.random_gain_graph(gnp_graph(1000, 0.002, rng), rng)
+    for n in (32, 47, 64, 100, 150, 225, 300):
+        p = rng.choice((0.5, 1.0, 2.0, 4.0)) / n
+        yield gains.random_gain_graph(gnp_graph(n, p, rng), rng)
+
+
+@pytest.mark.parametrize("phi", _relabelling_cases())
+def test_one_relabelling_of_every_component_equals_one_per_component(phi):
+    comps = components(phi.graph)
+    parts = list(graphs._induced(phi.graph, comps))
+    assert len(parts) == len(comps)
+    for comp, (sub, e) in zip(comps, parts):
+        want = gains.induced_gain_subgraph(phi, comp)
+        assert np.array_equal(sub.us, want.graph.us)
+        assert np.array_equal(sub.vs, want.graph.vs) and sub.n == want.graph.n
+        assert phi.gains[e].tobytes() == want.gains.tobytes()
+    assert sum(len(e) for _, e in parts) == phi.graph.m
+
+
+def test_relabelling_of_several_sets_keeps_each_in_sorted_order():
+    g = chorded_six_cycle()
+    (a, ea), (b, eb), (c, ec) = graphs._induced(g, [{4, 1, 5}, [0, 3], []])
+    assert (a, b, c) == (induced_subgraph(g, [1, 4, 5])[0],
+                         induced_subgraph(g, [0, 3])[0], empty_graph(0))
+    assert [(g.us[i], g.vs[i]) for i in ea] == [(1, 4), (4, 5)]
+    assert len(eb) == len(ec) == 0
+    with pytest.raises(ValueError, match="^vertex sets must be disjoint$"):
+        graphs._induced(g, [[0, 1], [1, 2]])
+    with pytest.raises(ValueError, match="out of range"):
+        graphs._induced(g, [[0], [6]])

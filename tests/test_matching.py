@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from gainspec import matching
+
 from conftest import disjoint_union, matching_oracle, petersen
 from gainspec import (
     Graph,
@@ -11,6 +13,7 @@ from gainspec import (
     delete_edges,
     empty_graph,
     gnp_graph,
+    MatchingResult,
     maximum_matching,
     path_graph,
     star_graph,
@@ -123,3 +126,30 @@ def test_blossom_agrees_with_networkx_beyond_oracle_range():
         ref.add_edges_from(g.edges)
         expected = len(nx.max_weight_matching(ref, maxcardinality=True))
         assert maximum_matching(g).mu == expected, (n, p)
+
+
+def test_an_isolated_root_starts_no_alternating_search(monkeypatch):
+    real = matching._alternating_bfs
+    roots = []
+
+    def counting(root, adj, match):
+        roots.append(root)
+        return real(root, adj, match)
+
+    monkeypatch.setattr(matching, "_alternating_bfs", counting)
+    # the greedy seed matches 0-1 and leaves 2 exposed; 3..7 have no neighbour
+    result = maximum_matching(Graph.from_edges(8, [(0, 1), (1, 2)]))
+    assert roots == [2] and result.mu == 1
+    roots.clear()
+    assert maximum_matching(empty_graph(40)).mu == 0 and roots == []
+
+
+def test_matching_result_keeps_its_own_frozen_sets():
+    edges, saturated = {(0, 1)}, {0, 1}
+    result = MatchingResult(edges, 1, saturated)
+    edges.add((2, 3))
+    saturated.update((2, 3))
+    assert result.matched_edges == frozenset({(0, 1)})
+    assert result.saturated == frozenset({0, 1})
+    assert type(result.matched_edges) is frozenset and type(result.saturated) is frozenset
+    assert hash(result) == hash(MatchingResult(frozenset({(0, 1)}), 1, frozenset({0, 1})))

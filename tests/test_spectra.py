@@ -663,6 +663,26 @@ def test_per_component_blocks_are_the_induced_adjacency_matrices(monkeypatch):
             assert got.tobytes() == want.tobytes()
 
 
+def test_per_component_blocks_come_from_one_relabelling(monkeypatch):
+    real = graphs._induced
+    calls = []
+
+    def counting(g, sets):
+        calls.append(g.n)
+        return real(g, sets)
+
+    monkeypatch.setattr(graphs, "_induced", counting)
+    rng = random.Random(41)
+    for phi in [extremal_union([1, 2, 3] * 20, isolated=5, switch_seed=2),
+                random_gain_graph(gnp_graph(200, 1.2 / 200, rng), rng)]:
+        assert len(graphs.components(phi.graph)) > 10 and phi.graph.n >= 32
+        spec = spectrum(phi)
+        assert calls == [phi.graph.n]
+        calls.clear()
+        dense = eigenvalues(adjacency(phi))
+        np.testing.assert_allclose(spec.eigenvalues, dense.eigenvalues, atol=1e-9)
+
+
 def test_per_component_solve_copies_no_lone_block():
     import tracemalloc
 
