@@ -46,11 +46,12 @@ class Graph:
     def __new__(cls, n: int, edges: Iterable[Edge]) -> "Graph":
         """The graph of these integer pairs (u, v), u < v, in any order; duplicates
         collapse.  A bool, which numpy reads as an int, is refused here."""
-        pairs = sorted(dict.fromkeys(edges))
-        try:  # a member that is not a sequence raises TypeError here
+        try:  # an unhashable, unordered or unsized member raises TypeError here
+            pairs = sorted(dict.fromkeys(edges))
             flat = list(chain.from_iterable(pairs))
-            ok = set(map(len, pairs)) <= {2} and {bool, np.bool_}.isdisjoint(
-                map(type, flat))
+            ok = set(map(len, pairs)) <= {2} and all(
+                issubclass(t, (int, np.integer)) and t is not bool
+                for t in set(map(type, flat)))
         except TypeError:
             ok = False
         if not ok:

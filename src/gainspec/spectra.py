@@ -13,6 +13,12 @@ the one size switch ``graphs.ARRAY_MIN_ORDER`` (32) one dense solve of the
 whole matrix is cheaper, and ``eigenvalues(adjacency(phi))`` stays the dense
 reference either way.
 
+Hermitian matrices go to ``np.linalg.eigh`` (divide and conquer), one call
+per stack.  From order ``_MRRR_MIN_ORDER`` (256) each matrix instead goes to
+LAPACK's MRRR driver ``zheevr``, bound through ``ctypes`` from the OpenBLAS
+library numpy itself loaded; ``np.linalg.eigh`` remains the fallback where
+numpy ships no such library.  Both are checked alike.
+
 Tolerance ladder (each layer absorbs the noise of the one below):
     1e-12  Hermitian/construction checks
     1e-8   eigenpair and singular-pair residuals
@@ -21,6 +27,9 @@ Tolerance ladder (each layer absorbs the noise of the one below):
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -35,6 +44,12 @@ RESIDUAL_TOL = 1e-8
 KRONECKER_TOL = 1e-7
 # One complex n x n matrix at this order is 268 MB, and a solve holds several.
 DENSE_MAX_ORDER = 4096
+# From this order a Hermitian matrix is solved by MRRR (``zheevr``), which
+# finds the tridiagonal eigenvectors in O(n^2) work where divide and conquer
+# takes O(n^3).  Measured, one BLAS thread, zheevr / eigh time on connected
+# gain graphs and dense Hermitian matrices: 1.0-1.2 at n = 128, 0.8-1.15 at
+# 192, 0.8-0.95 at 256, 0.7-0.9 at 384, about 0.5 at 512 and 775.
+_MRRR_MIN_ORDER = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,11 +100,72 @@ def _fail_first(
         raise error(where + message(k))
 
 
+def _zheevr() -> Callable[..., int] | None:
+    """LAPACKE's ``zheevr`` from the 64-bit-integer OpenBLAS that numpy's
+    wheel ships and has already loaded (so ``OPENBLAS_NUM_THREADS`` pins it
+    as it pins ``np.linalg.eigh``), or None unless exactly one such library
+    exports it.  Bound afresh on each call, which takes about 50 us, so no
+    binding is kept in the module."""
+    libs = glob.glob(os.path.join(
+        os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+        "libscipy_openblas64_*.so",
+    ))
+    if len(libs) != 1:
+        return None
+    try:
+        fn = ctypes.CDLL(libs[0]).scipy_LAPACKE_zheevr64_
+    except (OSError, AttributeError):
+        return None
+    i64, f64, char = ctypes.c_int64, ctypes.c_double, ctypes.c_char
+    flags = ("C_CONTIGUOUS", "WRITEABLE")
+    matrix = np.ctypeslib.ndpointer(np.complex128, 2, flags=flags)
+    # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w,
+    # z, ldz, isuppz
+    fn.argtypes = [
+        ctypes.c_int, char, char, char, i64, matrix, i64, f64, f64, i64, i64,
+        f64, ctypes.POINTER(i64), np.ctypeslib.ndpointer(np.float64, 1, flags=flags),
+        matrix, i64, np.ctypeslib.ndpointer(np.int64, 1, flags=flags),
+    ]
+    fn.restype = i64
+    return fn
+
+
+def _eigenpairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending, and eigenvectors (as columns) of each matrix
+    in a Hermitian stack (k, n, n), as ``np.linalg.eigh`` returns them: one
+    ``np.linalg.eigh`` call below ``_MRRR_MIN_ORDER`` or when ``zheevr`` is
+    not bound, else one ``zheevr`` call per matrix.  Unchecked."""
+    k, n = stack.shape[:2]
+    zheevr = _zheevr() if n >= _MRRR_MIN_ORDER else None
+    if zheevr is None:
+        return np.linalg.eigh(stack)
+    vals = np.empty((k, n))
+    vecs = np.empty((k, n, n), dtype=complex)
+    isuppz = np.empty(2 * n, dtype=np.int64)
+    info, found = [], []
+    m = ctypes.c_int64()
+    for i in range(k):
+        # In column-major layout (102) LAPACK reads this C-ordered copy as
+        # conj(A), whose eigenvectors are the conjugates of A's; it
+        # overwrites the copy.
+        a = np.array(stack[i], dtype=complex, order="C")
+        info.append(zheevr(102, b"V", b"A", b"L", n, a, n, 0.0, 0.0, 0, 0, 0.0,
+                           ctypes.byref(m), vals[i], vecs[i], n, isuppz))
+        found.append(m.value)
+    _fail_first(
+        (np.array(info) != 0) | (np.array(found) != n), RuntimeError,
+        lambda i: f"zheevr returned info {info[i]} with {found[i]} of {n} eigenpairs",
+    )
+    np.conjugate(vecs, out=vecs)
+    return vals, vecs.swapaxes(1, 2)
+
+
 def _eigh(stack: np.ndarray) -> np.ndarray:
     """Eigenvalues, ascending, of each Hermitian matrix in a stack (k, n, n),
-    from one LAPACK call.  Every matrix is checked as ``eigenvalues`` checks
-    one: finite entries, Hermitian within 1e-12, and every eigenpair's
-    residual ||A v - lambda v|| <= 1e-8 * ||A||_2."""
+    from ``_eigenpairs``: one LAPACK call per stack below ``_MRRR_MIN_ORDER``,
+    one ``zheevr`` call per matrix from it.  Every matrix is checked as
+    ``eigenvalues`` checks one: finite entries, Hermitian within 1e-12, and
+    every eigenpair's residual ||A v - lambda v|| <= 1e-8 * ||A||_2."""
     k, n = stack.shape[:2]
     if n == 0:
         return np.empty((k, 0))
@@ -102,7 +178,7 @@ def _eigh(stack: np.ndarray) -> np.ndarray:
         asymmetry > HERMITIAN_TOL, ValueError,
         lambda i: "matrix is not Hermitian within tolerance",
     )
-    vals, vecs = np.linalg.eigh(stack)
+    vals, vecs = _eigenpairs(stack)
     scale = np.max(np.abs(vals), axis=1)
     residual = np.max(
         np.linalg.norm(stack @ vecs - vecs * vals[:, None, :], axis=1), axis=1
@@ -126,8 +202,9 @@ def _descending_spectra(ascending: np.ndarray) -> list[Spectrum]:
 def eigenvalues(a: np.ndarray) -> Spectrum:
     """Eigenvalues of a Hermitian matrix, sorted descending.
 
-    Backed by the LAPACK Hermitian solver; every solve is verified against
-    the residual contract ||A v - lambda v|| <= 1e-8 * ||A||_2 per pair.
+    Backed by the LAPACK Hermitian solver (divide and conquer, or MRRR from
+    order ``_MRRR_MIN_ORDER``); every solve is verified against the residual
+    contract ||A v - lambda v|| <= 1e-8 * ||A||_2 per pair.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

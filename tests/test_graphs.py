@@ -56,6 +56,14 @@ def test_construction_validates():
     assert g.edges == {(0, 1)}
 
 
+@pytest.mark.parametrize("edges", [[[0, 1]], [(0, 1.0)], [("0", "1")]])
+def test_a_malformed_edge_gets_the_one_edge_error(edges):
+    # a list pair, a float or a string endpoint: not a TypeError, and not the
+    # array constructor's error about arrays the caller never passed
+    with pytest.raises(ValueError, match="^edges must be pairs of integer vertices$"):
+        Graph(3, edges)
+
+
 @pytest.mark.parametrize(
     "g, n, m",
     [

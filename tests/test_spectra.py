@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -804,3 +805,121 @@ def test_analysis_sorts_an_in_memory_gain_graph_once(monkeypatch):
         kronecker_spectrum_check(phi, h)
         assert sorts == built and set(built) == {2 * phi.graph.m}
         sorts.clear()
+
+
+# ---------------------------------------------------------------------------
+# Large Hermitian blocks go to LAPACK's MRRR driver zheevr.
+# ---------------------------------------------------------------------------
+
+
+needs_zheevr = pytest.mark.skipif(
+    spectra._zheevr() is None, reason="numpy ships no OpenBLAS with zheevr here"
+)
+
+
+def _connected_nonbipartite(n, seed):
+    rng = random.Random(seed)
+    g = gnp_graph(n, 8.0 / n, rng)
+    assert graphs.is_connected(g) and not graphs.bipartition(g).is_bipartite
+    return random_gain_graph(g, rng)
+
+
+def _counting_zheevr(calls, corrupt=None):
+    """A binding that records each call's order and, for the matrices whose
+    call number is in ``corrupt``, pairs the vectors with the wrong values."""
+    real = spectra._zheevr()
+
+    def call(*args):
+        info = real(*args)
+        if len(calls) in (corrupt or ()):
+            z = args[14]
+            z[:] = z[::-1].copy()  # rows are the conjugated vectors
+        calls.append(args[4])
+        return info
+
+    return lambda: call
+
+
+def test_numpy_openblas_provides_zheevr():
+    # so a numpy upgrade that moves the library or renames the symbol fails
+    # here instead of making every large solve silently slower
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    if not (sys.platform.startswith("linux") and lapack.get("name") == "scipy-openblas"
+            and "USE64BITINT" in lapack.get("openblas configuration", "")):
+        pytest.skip("numpy is not built on the 64-bit-integer scipy-openblas wheel")
+    assert spectra._zheevr() is not None
+
+
+@needs_zheevr
+@pytest.mark.parametrize("n, seed", [(256, 0), (400, 1), (775, 0)])
+def test_large_blocks_are_solved_by_mrrr_within_1e_12(monkeypatch, n, seed):
+    phi = _connected_nonbipartite(n, seed)
+    calls = []
+    monkeypatch.setattr(spectra, "_zheevr", _counting_zheevr(calls))
+    spec = spectrum(phi)  # the trace and Frobenius checks pass
+    assert calls == [n]
+    a = adjacency(phi)
+    reference = np.linalg.eigvalsh(a)[::-1]
+    assert np.max(np.abs(spec.eigenvalues - reference)) <= 1e-12 * np.linalg.norm(a, 2)
+    assert spec.energy == pytest.approx(np.sum(np.abs(reference)), rel=1e-12)
+
+
+@needs_zheevr
+def test_only_the_block_of_order_256_and_more_takes_mrrr(monkeypatch):
+    phi = random_gain_graph(
+        disjoint_union(_connected_nonbipartite(300, 2).graph,
+                       _connected_nonbipartite(40, 1).graph), 3)
+    calls, shapes = [], []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "_zheevr", _counting_zheevr(calls))
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    spectrum(phi)
+    assert calls == [300] and shapes == [(1, 40, 40)]
+
+
+def _large_stack(count):
+    x = np.random.default_rng(count).standard_normal((count, 256, 512)).view(complex)
+    return x + x.conj().swapaxes(1, 2)
+
+
+@needs_zheevr
+@pytest.mark.parametrize("k", [0, 2])
+def test_corrupt_mrrr_vectors_name_the_matrix(monkeypatch, k):
+    stack = _large_stack(3)
+    monkeypatch.setattr(spectra, "_zheevr", _counting_zheevr([], corrupt={k}))
+    with pytest.raises(RuntimeError, match=f"^matrix {k} of 3: eigensolver residual"):
+        spectra._eigh(stack)
+
+
+@needs_zheevr
+@pytest.mark.parametrize("info, found", [(1, 256), (-6, 256), (0, 255)])
+def test_a_failed_zheevr_call_names_the_matrix(monkeypatch, info, found):
+    real, calls = spectra._zheevr(), []
+
+    def failing(*args):  # the second matrix fails
+        calls.append(args[4])
+        if len(calls) < 2:
+            return real(*args)
+        args[12]._obj.value = found
+        return info
+
+    monkeypatch.setattr(spectra, "_zheevr", lambda: failing)
+    with pytest.raises(RuntimeError, match=f"^matrix 1 of 2: zheevr returned info {info} "
+                                           f"with {found} of 256 eigenpairs$"):
+        spectra._eigh(_large_stack(2))
+
+
+def test_without_the_binding_a_large_block_gets_eighs_bits(monkeypatch):
+    # the 775-vertex non-bipartite component of `generate gnp 1000 0.002 --seed 1`
+    rng = random.Random(1)
+    phi = random_gain_graph(gnp_graph(1000, 0.002, rng), rng)
+    comp = max(graphs.components(phi.graph), key=len)
+    assert len(comp) == 775
+    a = adjacency(induced_gain_subgraph(phi, comp))
+    monkeypatch.setattr(spectra, "_zheevr", lambda: None)
+    assert spectra._eigh(a[None])[0].tobytes() == np.linalg.eigh(a)[0].tobytes()
