@@ -6,7 +6,8 @@ attained (gap <= 1e-6), and whether the graph has the exact structure that
 attains it (balanced gains on a disjoint union of equal-sided complete
 bipartite blocks plus isolated vertices).  The two verdicts must always
 agree; ``consistent`` records that.  The report also carries the gain
-graph, the spectrum and the balance certificate it was computed from.
+graph, the spectrum, the balance certificate and the maximum matching it was
+computed from.
 
 The ``check_*`` functions stress the supporting inequalities and accumulate
 into ``LemmaReport`` values: instance counts, violations (always expected
@@ -14,7 +15,9 @@ empty), skip reasons for inputs that fail a precondition, and the worst
 margin observed.  Every checker but ``check_c6tilde_lemma``, which draws its
 own instances, takes a stream of ``BoundReport`` values or of (report,
 vertex set) cases; the edge-cut and subgraph checkers build and solve their
-derived instances a window at a time, each spectrum a returned value.
+derived instances a window at a time, each spectrum a returned value.  The
+subgraph checker reads the matching numbers of a split's two sides off the
+report's matching when no matched edge crosses the split.
 ``run_lemma_suite`` analyses each drawn instance once and hands each window
 of reports to every checker.
 """
@@ -30,8 +33,8 @@ from typing import Iterable, Iterator, TypeVar
 
 from . import corpus, gains, graphs
 from .gains import BalanceCertificate, GainGraph, is_balanced
-from .graphs import Graph, bipartition, edge_cut, induced_subgraph, is_connected
-from .matching import maximum_matching
+from .graphs import Graph, bipartition, edge_cut, is_connected
+from .matching import MatchingResult, maximum_matching
 from .spectra import Spectrum, spectra_of, spectrum
 
 GAP_TIGHT_TOL = 1e-6     # "numerically tight" threshold on energy - 2*mu
@@ -39,8 +42,11 @@ STRICT_MARGIN = 1e-8     # strict inequalities must clear this
 
 # Steps in one window of the lemma suite.  A window's instances are drawn,
 # solved in one batch per order, then judged, so memory follows the window,
-# not the trial count.
-_WINDOW = 64
+# not the trial count.  `lemmas --seed 23 --trials 1000 --nmax 16` makes 470
+# `np.linalg.eigh` calls at 128 steps and 902 at 64; its peak RSS
+# (`ru_maxrss`, one BLAS thread) is 35.6 MB at 128, 34.8 MB at 64 and
+# 37.4 MB at 256.
+_WINDOW = 128
 
 T = TypeVar("T")
 
@@ -54,9 +60,11 @@ def _windows(items: Iterable[T]) -> Iterator[list[T]]:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One analysis pass over ``phi``: the spectrum, the matching number and
-    the balance certificate are each computed once, and both verdicts (and
-    every lemma checker) read from them."""
+    """One analysis pass over ``phi``: the spectrum, the maximum matching
+    and the balance certificate are each computed once, and both verdicts
+    (and every lemma checker) read from them.  ``matching`` is the matching
+    whose size is ``mu``; restricted to the two sides of a split that none
+    of its edges crosses, it is a maximum matching of each."""
 
     energy: float
     mu: int
@@ -67,6 +75,7 @@ class BoundReport:
     spectrum: Spectrum = field(compare=False, repr=False)
     balance: BalanceCertificate = field(compare=False, repr=False)
     phi: GainGraph = field(compare=False, repr=False)
+    matching: MatchingResult = field(compare=False, repr=False)
 
 
 def _equal_sided_blocks(g: Graph) -> bool:
@@ -95,7 +104,8 @@ def bound_report(phi: GainGraph) -> BoundReport:
 
 def _report(phi: GainGraph, spec: Spectrum) -> BoundReport:
     """``bound_report`` of ``phi``, whose spectrum is ``spec``."""
-    mu = maximum_matching(phi.graph).mu
+    matching = maximum_matching(phi.graph)
+    mu = matching.mu
     cert = is_balanced(phi)
     g = spec.energy - 2.0 * mu
     tight = g <= GAP_TIGHT_TOL
@@ -110,6 +120,7 @@ def _report(phi: GainGraph, spec: Spectrum) -> BoundReport:
         spectrum=spec,
         balance=cert,
         phi=phi,
+        matching=matching,
     )
 
 
@@ -345,24 +356,36 @@ def check_subgraph_lemma(
     """When the matching number splits additively across an induced subgraph
     and its complement, tightness propagates to the subgraph, which then
     cannot be the 4-path or the chorded six-cycle.  Each case is a report
-    and the vertex set that induces the subgraph; a window's subgraphs of
-    tight, additive cases are solved in one batch.  Margin: the subgraph gap
-    for tight instances, the full gap otherwise."""
+    and the vertex set S that induces the subgraph.  When no edge of the
+    report's maximum matching M crosses the split, the sides' matching
+    numbers are the counts of M's edges in S and in V - S, with no matching
+    run: those parts match the sides and |M| = mu(G) >= mu(G[S]) +
+    mu(G[V - S]), so neither side can do better.  Otherwise each side is
+    matched.  A window's subgraphs of tight, additive cases are solved in
+    one batch.  Margin: the subgraph gap for tight instances, the full gap
+    otherwise."""
     report = report or LemmaReport(SUBGRAPH)
     for window in _windows(cases):
         splits, tight = [], []
         for rep, vs in window:
             inside = set(vs)
             g = rep.phi.graph
-            phi1 = gains.induced_gain_subgraph(rep.phi, sorted(inside))
-            g2, _ = induced_subgraph(g, [v for v in range(g.n) if v not in inside])
-            mu1 = maximum_matching(phi1.graph).mu
-            additive = rep.mu == mu1 + maximum_matching(g2).mu
-            splits.append((rep, phi1, mu1, additive))
+            outside = [v for v in range(g.n) if v not in inside]
+            sides = graphs._induced(g, [inside, outside])
+            g1, e1 = next(sides)
+            matched = rep.matching.matched_edges
+            if any((u in inside) != (v in inside) for u, v in matched):
+                mu1 = maximum_matching(g1).mu
+                mu2 = maximum_matching(next(sides)[0]).mu
+            else:  # M restricts to maximum matchings of both sides
+                mu1 = sum(u in inside for u, _ in matched)
+                mu2 = len(matched) - mu1
+            additive = rep.mu == mu1 + mu2
+            splits.append((rep, g1, mu1, additive))
             if additive and rep.numerically_tight:
-                tight.append(phi1)
+                tight.append(GainGraph.from_gains(g1, rep.phi.gains[e1]))
         tight_spectra = iter(spectra_of(tight))
-        for rep, phi1, mu1, additive in splits:
+        for rep, g1, mu1, additive in splits:
             if not additive:
                 report.skip("matching number not additive over the split")
             elif not rep.numerically_tight:
@@ -373,9 +396,9 @@ def check_subgraph_lemma(
                 if sub_gap > GAP_TIGHT_TOL:
                     report.violate("tight graph has non-tight induced subgraph "
                                    f"(gap {sub_gap:.3e})")
-                if is_four_path(phi1.graph):
+                if is_four_path(g1):
                     report.violate("tight graph splits off a 4-path")
-                if is_chorded_hexagon(phi1.graph):
+                if is_chorded_hexagon(g1):
                     report.violate("tight graph splits off a chorded six-cycle")
     return report
 

@@ -260,9 +260,28 @@ def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int]
 def _induced(g: Graph, sets: Iterable[Iterable[int]]) -> Iterator[tuple[Graph, np.ndarray]]:
     """Per disjoint vertex set, ``induced_subgraph``'s graph and the indices of
     its edges in ``g``, from one pass that gives every vertex its set and rank
-    there and one stable sort of the edges by set; monotone ranks keep each
+    there and one pass that groups the edges by set: a walk over them below
+    the size switch, one stable sort from it on.  Monotone ranks keep each
     set's edges ascending.  Checked at the call, built as each is drawn."""
     sets = [sorted(_check_vertices(g, part)) for part in sets]
+    if g.n < ARRAY_MIN_ORDER:
+        group, rank = [len(sets)] * g.n, [0] * g.n
+        for k, kept in enumerate(sets):
+            for r, v in enumerate(kept):
+                if group[v] < len(sets):
+                    raise ValueError("vertex sets must be disjoint")
+                group[v], rank[v] = k, r
+        # per set: its edges' two ranked ends and their indices in g; the
+        # last bucket takes the edges between vertices of no set
+        found = [([], [], []) for _ in range(len(sets) + 1)]
+        for i, (u, v) in enumerate(_pairs(g)):
+            if group[u] == group[v]:
+                ru, rv, e = found[group[u]]
+                ru.append(rank[u])
+                rv.append(rank[v])
+                e.append(i)
+        return ((Graph.from_arrays(len(kept), np.array(ru, np.intp), np.array(rv, np.intp)),
+                 np.array(e, np.intp)) for kept, (ru, rv, e) in zip(sets, found))
     flat = np.fromiter(chain.from_iterable(sets), np.intp)
     labels = np.repeat(np.arange(len(sets)), np.fromiter(map(len, sets), np.intp))
     group, rank = np.full(g.n, len(sets)), np.zeros(g.n, np.intp)

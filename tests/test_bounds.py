@@ -25,12 +25,14 @@ from gainspec import (
     cycle_graph,
     empty_graph,
     gnp_graph,
+    induced_gain_subgraph,
     is_extremal_structure,
     path_graph,
     random_gain_graph,
     random_switching,
     run_lemma_suite,
     set_gain,
+    spectrum,
     star_graph,
     switch,
     unit_from_angle,
@@ -43,7 +45,7 @@ from gainspec.bounds import (
     is_chorded_hexagon,
     is_four_path,
 )
-from gainspec.corpus import extremal_union, part_multisets
+from gainspec.corpus import component_split, extremal_union, part_multisets
 from gainspec.graphs import Graph
 
 from conftest import equal_sided_blocks_bruteforce
@@ -332,6 +334,70 @@ def test_subgraph_lemma():
     assert rep.instances == 0 and rep.skips == 1
 
 
+def _subgraph_lemma_from_scratch(cases):
+    """``check_subgraph_lemma`` with both sides of every split matched anew
+    and each tight side solved alone."""
+    from gainspec.bounds import GAP_TIGHT_TOL
+    from gainspec.graphs import induced_subgraph
+    from gainspec.matching import maximum_matching
+
+    report = LemmaReport(SUBGRAPH)
+    for rep, vs in cases:
+        g = rep.phi.graph
+        phi1 = induced_gain_subgraph(rep.phi, vs)
+        g2, _ = induced_subgraph(g, set(range(g.n)) - set(vs))
+        mu1 = maximum_matching(phi1.graph).mu
+        if rep.mu != mu1 + maximum_matching(g2).mu:
+            report.skip("matching number not additive over the split")
+        elif not rep.numerically_tight:
+            report.record(rep.gap)
+        else:
+            sub_gap = spectrum(phi1).energy - 2.0 * mu1
+            report.record(sub_gap)
+            if sub_gap > GAP_TIGHT_TOL:
+                report.violate("tight graph has non-tight induced subgraph "
+                               f"(gap {sub_gap:.3e})")
+            if is_four_path(phi1.graph):
+                report.violate("tight graph splits off a 4-path")
+            if is_chorded_hexagon(phi1.graph):
+                report.violate("tight graph splits off a chorded six-cycle")
+    return report
+
+
+def test_subgraph_lemma_reads_mu_from_the_report_as_a_fresh_matching_would():
+    # mu(G[S]) and mu(G[V-S]) are read off the report's matching when it does
+    # not cross the split, and matched anew when it does
+    rng = random.Random(31)
+    cases = []
+    pools = [p for p in part_multisets(6) if 2 * sum(p) <= 12]
+    while len(cases) < 400:
+        if len(cases) % 3:
+            n = rng.randint(1, 12)
+            phi = random_gain_graph(gnp_graph(n, rng.random(), rng), rng)
+        else:
+            parts = rng.choice(pools)
+            phi = extremal_union(parts, isolated=rng.randint(0, 12 - 2 * sum(parts)),
+                                 switch_seed=rng)
+        rep, n = bound_report(phi), phi.graph.n
+        cases.append((rep, rng.sample(range(n), rng.randint(0, n))))
+        whole = component_split(phi.graph, rng)
+        if whole is not None:
+            cases.append((rep, whole))
+    # edited reports: a wrong mu makes no split additive; a P4 called tight
+    # splits off itself, a 4-path of gap 0.47, while {1, 2} of it is crossed
+    # and not additive
+    rep = cases[0][0]
+    cases.append((dataclasses.replace(rep, mu=rep.mu + 1), range(rep.phi.graph.n)))
+    p4 = dataclasses.replace(bound_report(all_ones(path_graph(4))), numerically_tight=True)
+    cases += [(p4, {0, 1, 2, 3}), (p4, {1, 2})]
+
+    got = check_subgraph_lemma(cases)
+    want = _subgraph_lemma_from_scratch(cases)
+    assert (got.instances, got.skip_reasons, got.worst_margin, got.violations) == (
+        want.instances, want.skip_reasons, want.worst_margin, want.violations)
+    assert got.instances > 150 and got.skips > 50 and len(got.violations) == 2
+
+
 def test_balance_lemma():
     rng = random.Random(19)
     members = []
@@ -488,7 +554,9 @@ def test_derived_instances_are_built_and_solved_once(monkeypatch):
     lemma = check_edge_cut_lemma([(rep, set())])
     assert solves == [] and lemma.ok and lemma.worst_margin == 0.0
 
-    # a tight split matches each side once; the subgraph gap reuses mu1
+    # the report's matching {03, 14, 25} stays on the sides of {0, 3}: no
+    # side is matched; it crosses {0, 4} (K_{1,1} | K_{2,2}): each side is
+    # matched once, and the subgraph gap reuses mu1
     rep = bound_report(all_ones(complete_bipartite(3, 3)))
     matched = []
     real_matching = bounds.maximum_matching
@@ -499,9 +567,19 @@ def test_derived_instances_are_built_and_solved_once(monkeypatch):
 
     monkeypatch.setattr(bounds, "maximum_matching", counting_matching)
     lemma = check_subgraph_lemma([(rep, {0, 3})])
-    assert len(matched) == 2
+    assert matched == []
     assert lemma.ok and lemma.instances == 1
     assert lemma.worst_margin == pytest.approx(0.0, abs=1e-9)
+    lemma = check_subgraph_lemma([(rep, {0, 4})])
+    assert [g.n for g in matched] == [2, 4]
+    assert lemma.ok and lemma.instances == 1 and lemma.worst_margin == 0.0
+
+    # C4's matching {01, 23} crosses {1, 2}, yet 1 + 1 = 2 is additive
+    rep = bound_report(all_ones(cycle_graph(4)))
+    matched.clear()
+    lemma = check_subgraph_lemma([(rep, {1, 2})])
+    assert [g.n for g in matched] == [2, 2]
+    assert lemma.ok and lemma.instances == 1 and lemma.skips == 0
 
 
 def test_lemma_suite_agrees_on_both_spectrum_paths(monkeypatch):

@@ -28,6 +28,7 @@ from gainspec import (
     empty_graph,
     gain_graph,
     gnp_graph,
+    graphs,
     induced_gain_subgraph,
     is_balanced,
     is_connected,
@@ -101,18 +102,22 @@ NAN_GAIN = complex(math.nan, 0.0)
 @pytest.mark.parametrize(
     "build",
     [
-        lambda g: unit(NAN_GAIN),
-        lambda g: GainGraph(g, {(0, 1): NAN_GAIN}),
-        lambda g: gain_graph(g, {(1, 0): NAN_GAIN}),
-        lambda g: set_gain(all_ones(g), 0, 1, NAN_GAIN),
-        lambda g: SwitchingFunction((1.0 + 0.0j, NAN_GAIN)),
+        lambda g, z: unit(z),
+        lambda g, z: GainGraph(g, {(0, 1): z}),
+        lambda g, z: gain_graph(g, {(1, 0): z}),
+        lambda g, z: set_gain(all_ones(g), 0, 1, z),
+        lambda g, z: SwitchingFunction((1.0 + 0.0j, z)),
     ],
     ids=["unit", "GainGraph", "gain_graph", "set_gain", "SwitchingFunction"],
 )
 def test_nan_gain_is_rejected(build):
-    # abs(NaN - 1) > tol is False: every modulus check must fail NaN instead
-    with pytest.raises(ValueError):
-        build(Graph.from_edges(2, [(0, 1)]))
+    # abs(NaN - 1) > tol is False: every modulus check must fail NaN instead.
+    # From order ARRAY_MIN_ORDER GainGraph.from_gains checks on the array, so
+    # both of its branches see NaN and an infinite gain.
+    for n in (2, graphs.ARRAY_MIN_ORDER):
+        for z in (NAN_GAIN, complex(math.inf, 0.0)):
+            with pytest.raises(ValueError):
+                build(Graph.from_edges(n, [(0, 1)]), z)
 
 
 def test_orientation_inverse_invariant_random():

@@ -417,3 +417,37 @@ def test_relabelling_of_several_sets_keeps_each_in_sorted_order():
         graphs._induced(g, [[0, 1], [1, 2]])
     with pytest.raises(ValueError, match="out of range"):
         graphs._induced(g, [[0], [6]])
+
+
+def _induced_forms(g, sets):
+    """Each part of ``graphs._induced(g, sets)`` as plain values, or the
+    error it raises."""
+    try:
+        parts = list(graphs._induced(g, sets))
+    except ValueError as err:
+        return str(err)
+    return [(sub.n, sub.us.tolist(), sub.vs.tolist(), e.dtype, e.tolist())
+            for sub, e in parts]
+
+
+def test_induced_loop_path_equals_the_array_path(monkeypatch):
+    # below ARRAY_MIN_ORDER the sets and edges are grouped by Python loops;
+    # at 0 every order takes the argsort path
+    rng = random.Random(29)
+    errors = 0
+    for _ in range(300):
+        n = rng.randrange(32)
+        g = gnp_graph(n, rng.random(), rng)
+        label = [rng.randrange(5) for _ in range(n)]
+        k = rng.randint(1, 4)  # a label from k on is in no set
+        sets = [[v for v in range(n) if label[v] == i] for i in range(k)]
+        if n and rng.random() < 0.2:  # one vertex in two sets
+            v = rng.randrange(n)
+            sets[rng.randrange(len(sets))].append(v)
+            sets.append([v])
+        loops = _induced_forms(g, sets)
+        with monkeypatch.context() as m:
+            m.setattr(graphs, "ARRAY_MIN_ORDER", 0)
+            assert _induced_forms(g, sets) == loops
+        errors += isinstance(loops, str)
+    assert 0 < errors < 300
