@@ -9,17 +9,18 @@ agree; ``consistent`` records that.  The report also carries the gain
 graph, the spectrum, the balance certificate and the maximum matching it was
 computed from.
 
-The ``check_*`` functions stress the supporting inequalities and accumulate
-into ``LemmaReport`` values: instance counts, violations (always expected
-empty), skip reasons for inputs that fail a precondition, and the worst
-margin observed.  Every checker but ``check_c6tilde_lemma``, which draws its
-own instances, takes a stream of ``BoundReport`` values or of (report,
-vertex set) cases; the edge-cut and subgraph checkers build and solve their
-derived instances a window at a time, each spectrum a returned value.  The
-subgraph checker reads the matching numbers of a split's two sides off the
-report's matching when no matched edge crosses the split.
-``run_lemma_suite`` analyses each drawn instance once and hands each window
-of reports to every checker.
+The ``check_*`` functions stress the supporting inequalities.  Each returns
+a fresh ``LemmaReport`` named for its lemma: instance counts, violations
+(always expected empty), skip reasons for inputs that fail a precondition,
+and the worst margin observed.  Every checker but ``check_c6tilde_lemma``,
+which draws its own instances, takes a stream of ``BoundReport`` values or
+of (report, vertex set) cases; the edge-cut and subgraph checkers build and
+solve their derived instances a window at a time, each spectrum a returned
+value.  The subgraph checker reads the matching numbers of a split's two
+sides off the report's matching when no matched edge crosses the split.
+``run_lemma_suite`` analyses each drawn instance once, hands each window of
+reports to every checker, and folds what they return with
+``LemmaReport.merge``.
 """
 
 from __future__ import annotations
@@ -178,7 +179,8 @@ def is_chorded_hexagon(g: Graph) -> bool:
 
 @dataclass
 class LemmaReport:
-    """Accumulator for one lemma sweep.
+    """The result of one lemma sweep; ``merge`` folds in another sweep of
+    the same lemma.
 
     ``worst_margin`` is the smallest distance-to-failure observed; what the
     margin measures is documented on each checker.
@@ -240,15 +242,14 @@ LEMMA_ORDER = (
 
 
 def check_edge_cut_lemma(
-    cases: Iterable[tuple[BoundReport, Iterable[int]]],
-    report: LemmaReport | None = None,
+    cases: Iterable[tuple[BoundReport, Iterable[int]]]
 ) -> LemmaReport:
     """Deleting an edge cut never raises the energy; a star cut strictly
     lowers it.  Each case is a report and the vertex set whose cut is
     deleted.  A window's remainders of non-empty cuts are solved in one
     batch; an empty cut deletes nothing and drops exactly 0.0, unsolved.
     Margin: energy drop."""
-    report = report or LemmaReport(EDGE_CUT)
+    report = LemmaReport(EDGE_CUT)
     for window in _windows(cases):
         cuts = [(rep, edge_cut(rep.phi.graph, vs)) for rep, vs in window]
         solved = iter(spectra_of(gains.delete_gain_edges(rep.phi, cut)
@@ -263,12 +264,10 @@ def check_edge_cut_lemma(
     return report
 
 
-def check_pendant_lemma(
-    members: Iterable[BoundReport], report: LemmaReport | None = None
-) -> LemmaReport:
+def check_pendant_lemma(members: Iterable[BoundReport]) -> LemmaReport:
     """Connected with a pendant vertex (n >= 3) forces a strictly positive
     gap.  Margin: the gap."""
-    report = report or LemmaReport(PENDANT)
+    report = LemmaReport(PENDANT)
     for rep in members:
         g = rep.phi.graph
         if g.n < 3:
@@ -287,15 +286,13 @@ def check_pendant_lemma(
     return report
 
 
-def check_c6tilde_lemma(
-    seed: int | random.Random, trials: int, report: LemmaReport | None = None
-) -> LemmaReport:
+def check_c6tilde_lemma(seed: int | random.Random, trials: int) -> LemmaReport:
     """Every gain assignment on the chorded six-cycle has energy > 6.
     Margin: energy - 6."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    report = report or LemmaReport(CHORDED_HEXAGON)
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    report = LemmaReport(CHORDED_HEXAGON)
+    rng = gains._rng(seed)
     g = graphs.chorded_six_cycle()
     if maximum_matching(g).mu != 3:
         report.violate("chorded six-cycle must have matching number 3")
@@ -309,15 +306,13 @@ def check_c6tilde_lemma(
     return report
 
 
-def check_perfect_matching_lemma(
-    members: Iterable[BoundReport], report: LemmaReport | None = None
-) -> LemmaReport:
+def check_perfect_matching_lemma(members: Iterable[BoundReport]) -> LemmaReport:
     """A tight gain graph without isolated vertices has a perfect matching,
     applied to G minus its isolated vertices: those add only zero eigenvalues
     and no matching edge, so a tight instance matches every vertex of
     positive degree.  Margin: smallest gap seen (tight members drive it to
     ~0)."""
-    report = report or LemmaReport(PERFECT_MATCHING)
+    report = LemmaReport(PERFECT_MATCHING)
     for rep in members:
         g = rep.phi.graph
         report.record(rep.gap)
@@ -329,12 +324,10 @@ def check_perfect_matching_lemma(
     return report
 
 
-def check_nonbipartite_lemma(
-    members: Iterable[BoundReport], report: LemmaReport | None = None
-) -> LemmaReport:
+def check_nonbipartite_lemma(members: Iterable[BoundReport]) -> LemmaReport:
     """Connected non-bipartite underlying graphs have strictly positive gap.
     Margin: the gap."""
-    report = report or LemmaReport(NONBIPARTITE)
+    report = LemmaReport(NONBIPARTITE)
     for rep in members:
         if not is_connected(rep.phi.graph):
             report.skip("not connected")
@@ -350,8 +343,7 @@ def check_nonbipartite_lemma(
 
 
 def check_subgraph_lemma(
-    cases: Iterable[tuple[BoundReport, Iterable[int]]],
-    report: LemmaReport | None = None,
+    cases: Iterable[tuple[BoundReport, Iterable[int]]]
 ) -> LemmaReport:
     """When the matching number splits additively across an induced subgraph
     and its complement, tightness propagates to the subgraph, which then
@@ -364,7 +356,7 @@ def check_subgraph_lemma(
     matched.  A window's subgraphs of tight, additive cases are solved in
     one batch.  Margin: the subgraph gap for tight instances, the full gap
     otherwise."""
-    report = report or LemmaReport(SUBGRAPH)
+    report = LemmaReport(SUBGRAPH)
     for window in _windows(cases):
         splits, tight = [], []
         for rep, vs in window:
@@ -403,12 +395,10 @@ def check_subgraph_lemma(
     return report
 
 
-def check_balance_lemma(
-    members: Iterable[BoundReport], report: LemmaReport | None = None
-) -> LemmaReport:
+def check_balance_lemma(members: Iterable[BoundReport]) -> LemmaReport:
     """Tight connected bipartite gain graphs are balanced and equal-sided
     complete bipartite.  Margin: smallest gap seen."""
-    report = report or LemmaReport(BALANCE)
+    report = LemmaReport(BALANCE)
     for rep in members:
         g = rep.phi.graph
         if g.n < 2:
@@ -456,11 +446,12 @@ def run_lemma_suite(
 
     The base sweeps run in windows of ``_WINDOW`` steps: a window analyses
     its instances in one batch, draws their cut and split cases (an
-    extremal union's split on even steps), and calls each checker once;
-    the checkers solve their own derived instances, so nothing derived
-    outlives its window.  No draw depends on a solve (cut sets, splits,
-    trees and gains come from their own streams), so the instances and the
-    reports do not depend on the window."""
+    extremal union's split on even steps), calls each checker once and
+    merges its report into that lemma's; the checkers solve their own
+    derived instances, so nothing derived outlives its window.  No draw
+    depends on a solve (cut sets, splits, trees and gains come from their
+    own streams), so the instances and the reports do not depend on the
+    window."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if nmax < 2:
@@ -506,11 +497,11 @@ def run_lemma_suite(
             else:
                 inside = rng_split.sample(range(n), rng_split.randint(0, n))
                 splits.append((rep, inside))
-        check_edge_cut_lemma(cuts, reports[EDGE_CUT])
-        check_perfect_matching_lemma(reps, reports[PERFECT_MATCHING])
-        check_nonbipartite_lemma(reps, reports[NONBIPARTITE])
-        check_subgraph_lemma(splits, reports[SUBGRAPH])
-        check_balance_lemma(reps, reports[BALANCE])
+        reports[EDGE_CUT].merge(check_edge_cut_lemma(cuts))
+        reports[PERFECT_MATCHING].merge(check_perfect_matching_lemma(reps))
+        reports[NONBIPARTITE].merge(check_nonbipartite_lemma(reps))
+        reports[SUBGRAPH].merge(check_subgraph_lemma(splits))
+        reports[BALANCE].merge(check_balance_lemma(reps))
 
     trees = (
         gains.random_gain_graph(
@@ -518,15 +509,11 @@ def run_lemma_suite(
         )
         for k in range(trials)
     )
-    check_pendant_lemma(_reports(trees), reports[PENDANT])
-
-    check_c6tilde_lemma(
-        rng_c6,
-        trials * C6_TRIAL_FACTOR[0] // C6_TRIAL_FACTOR[1],
-        reports[CHORDED_HEXAGON],
-    )
-
-    check_perfect_matching_lemma(extremal, reports[PERFECT_MATCHING])
+    reports[PENDANT].merge(check_pendant_lemma(_reports(trees)))
+    reports[CHORDED_HEXAGON].merge(check_c6tilde_lemma(
+        rng_c6, trials * C6_TRIAL_FACTOR[0] // C6_TRIAL_FACTOR[1]
+    ))
+    reports[PERFECT_MATCHING].merge(check_perfect_matching_lemma(extremal))
 
     balance_extras: list[GainGraph] = []
     for t in range(1, min(4, max(nmax // 2, 1)) + 1):
@@ -540,6 +527,6 @@ def run_lemma_suite(
                 gains.set_gain(phi, 0, t, gains.unit_from_angle(0.25 * math.pi))
             )
     if trials:
-        check_balance_lemma(_reports(balance_extras), reports[BALANCE])
+        reports[BALANCE].merge(check_balance_lemma(_reports(balance_extras)))
 
     return [reports[name] for name in LEMMA_ORDER]

@@ -34,7 +34,10 @@ EXIT_USAGE = 2
 GENERATE_KINDS = (*graphs.NAMED_GRAPHS, "gnp", "extremal-union")
 
 
-def _default_seed() -> int:
+def _seed(args: argparse.Namespace) -> int:
+    """``--seed`` when given, else GAINSPEC_SEED, else ``DEFAULT_SEED``."""
+    if args.seed is not None:
+        return args.seed
     env = os.environ.get("GAINSPEC_SEED")
     if env is None:
         return DEFAULT_SEED
@@ -142,8 +145,7 @@ def lemma_suite_report(seed: int, trials: int, nmax: int) -> dict[str, Any]:
 
 
 def _cmd_lemmas(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    doc = lemma_suite_report(seed, args.trials, args.nmax)
+    doc = lemma_suite_report(_seed(args), args.trials, args.nmax)
     _emit(doc, args.format)
     for entry in doc["lemmas"]:
         if entry["instances"] == 0:
@@ -159,7 +161,7 @@ def _parse_parts(text: str) -> list[int]:
         parts = [int(p) for p in text.split(",") if p != ""]
     except ValueError:
         raise ValueError(f"bad block list {text!r}, expected like 2,2,1")
-    if not parts or any(t < 1 for t in parts):
+    if not parts:
         raise ValueError("block sides must be positive integers")
     return parts
 
@@ -186,7 +188,7 @@ def _build_instance(kind: str, params: list[str], seed: int, switched: bool,
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     kind = args.kind
     phi = _build_instance(kind, args.params, seed, args.switched, args.isolated)
     comment = f"gainspec generate {kind} {' '.join(args.params)} seed={seed}".rstrip()

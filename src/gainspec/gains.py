@@ -173,9 +173,14 @@ class SwitchingFunction:
         return cls(tuple(unit_from_angle(t) for t in angles))
 
 
+def _rng(seed: int | random.Random) -> random.Random:
+    """``seed`` itself when it is a generator, else a generator seeded by it."""
+    return seed if isinstance(seed, random.Random) else random.Random(seed)
+
+
 def random_switching(n: int, seed: int | random.Random) -> SwitchingFunction:
     n = graphs._count(n, "switching needs an integer vertex count >= 0")
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    rng = _rng(seed)
     return SwitchingFunction.from_angles(
         rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)
     )
@@ -300,7 +305,7 @@ def kronecker(phi: GainGraph, h: Graph) -> GainGraph:
 
 def random_gain_graph(g: Graph, seed: int | random.Random) -> GainGraph:
     """Uniform random angle per edge, drawn in ascending edge order; seeded."""
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    rng = _rng(seed)
     return GainGraph.from_gains(
         g, [unit_from_angle(rng.uniform(0.0, 2.0 * math.pi)) for _ in range(g.m)]
     )

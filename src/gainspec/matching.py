@@ -17,20 +17,25 @@ from .graphs import Edge, Graph
 
 @dataclass(frozen=True)
 class MatchingResult:
+    """A matching, kept as its edges; ``mu`` and ``saturated`` are read off them."""
+
     matched_edges: frozenset[Edge]
-    mu: int
-    saturated: frozenset[int]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matched_edges", frozenset(self.matched_edges))
-        object.__setattr__(self, "saturated", frozenset(self.saturated))
         seen: set[int] = set()
         for u, v in self.matched_edges:
             if u in seen or v in seen:
                 raise ValueError("matched edges share a vertex")
             seen.update((u, v))
-        if self.mu != len(self.matched_edges) or self.saturated != frozenset(seen):
-            raise ValueError("inconsistent matching result")
+
+    @property
+    def mu(self) -> int:
+        return len(self.matched_edges)
+
+    @property
+    def saturated(self) -> frozenset[int]:
+        return frozenset(v for e in self.matched_edges for v in e)
 
 
 def _alternating_bfs(
@@ -124,8 +129,4 @@ def maximum_matching(g: Graph) -> MatchingResult:
             match[v] = pv
             match[pv] = v
             v = nxt
-    edges = frozenset(
-        (v, match[v]) for v in range(n) if match[v] > v
-    )
-    saturated = frozenset(v for v in range(n) if match[v] != -1)
-    return MatchingResult(edges, len(edges), saturated)
+    return MatchingResult(frozenset((v, match[v]) for v in range(n) if match[v] > v))

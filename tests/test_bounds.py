@@ -231,7 +231,7 @@ def test_edge_cut_lemma_random_sweep():
         g = gnp_graph(rng.randrange(2, 10), rng.choice((0.3, 0.5, 0.8)), rng)
         phi = random_gain_graph(g, rng)
         vs = rng.sample(range(g.n), rng.randint(0, g.n))
-        check_edge_cut_lemma([(bound_report(phi), vs)], rep)
+        rep.merge(check_edge_cut_lemma([(bound_report(phi), vs)]))
     assert rep.ok and rep.instances == 60
 
 
@@ -261,7 +261,7 @@ def test_pendant_lemma_random_trees():
     rep = LemmaReport("pendant_strictness")
     for _ in range(40):
         tree = random_tree(rng.randrange(3, 10), rng)
-        check_pendant_lemma([bound_report(random_gain_graph(tree, rng))], rep)
+        rep.merge(check_pendant_lemma([bound_report(random_gain_graph(tree, rng))]))
     assert rep.ok and rep.instances == 40
     assert rep.worst_margin > 1e-8
 

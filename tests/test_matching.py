@@ -145,11 +145,10 @@ def test_an_isolated_root_starts_no_alternating_search(monkeypatch):
 
 
 def test_matching_result_keeps_its_own_frozen_sets():
-    edges, saturated = {(0, 1)}, {0, 1}
-    result = MatchingResult(edges, 1, saturated)
+    edges = {(0, 1)}
+    result = MatchingResult(edges)
     edges.add((2, 3))
-    saturated.update((2, 3))
     assert result.matched_edges == frozenset({(0, 1)})
-    assert result.saturated == frozenset({0, 1})
-    assert type(result.matched_edges) is frozenset and type(result.saturated) is frozenset
-    assert hash(result) == hash(MatchingResult(frozenset({(0, 1)}), 1, frozenset({0, 1})))
+    assert result.mu == 1 and result.saturated == frozenset({0, 1})
+    assert type(result.matched_edges) is frozenset
+    assert hash(result) == hash(MatchingResult(frozenset({(0, 1)})))
