@@ -168,7 +168,11 @@ def serialize_gain_graph(phi: GainGraph, comment: str | None = None) -> str:
 
 def _ugg_chunks(phi: GainGraph, comment: str | None) -> Iterator[str]:
     """The ``ugg`` text of ``phi`` in pieces: the comment and header lines,
-    then the lines of at most ``_CHUNK_EDGES`` edges at a time."""
+    then the lines of at most ``_CHUNK_EDGES`` edges at a time.  A comment
+    character that UTF-8 cannot encode (a lone surrogate, as a file name of
+    undecodable bytes holds) is written as its backslash escape."""
+    if comment:
+        comment = comment.encode("utf-8", "backslashreplace").decode("utf-8")
     head = [f"# {c}" for c in comment.splitlines()] if comment else []
     yield "\n".join([*head, f"ugg {phi.graph.n}"]) + "\n"
     us, vs, gains = phi.graph.us, phi.graph.vs, phi.gains

@@ -12,22 +12,32 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graphs import Edge, Graph
 
 
 @dataclass(frozen=True)
 class MatchingResult:
-    """A matching, kept as its edges; ``mu`` and ``saturated`` are read off them."""
+    """A matching, kept as its edges (u, v), 0 <= u < v, of integer (not
+    bool) vertices; ``mu`` and ``saturated`` are read off them."""
 
     matched_edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matched_edges", frozenset(self.matched_edges))
         seen: set[int] = set()
-        for u, v in self.matched_edges:
+        for edge in self.matched_edges:
+            # anything but a pair fails as the loop (0, 0) does; a bool,
+            # which compares as an int, is no vertex
+            u, v = edge if isinstance(edge, tuple) and len(edge) == 2 else (0, 0)
+            if not (type(u) is int or isinstance(u, np.integer)) or not (
+                type(v) is int or isinstance(v, np.integer)
+            ) or not 0 <= u < v:
+                raise ValueError("matched edges must be integer pairs (u, v), 0 <= u < v")
             if u in seen or v in seen:
                 raise ValueError("matched edges share a vertex")
-            seen.update((u, v))
+            seen.update(edge)
 
     @property
     def mu(self) -> int:

@@ -8,10 +8,9 @@ spectrum is real.  Energy is the sum of absolute eigenvalues.
 ``spectrum`` exploits structure.  The spectrum is the union of the spectra
 of the connected components; an isolated vertex contributes a 0, and a
 bipartite component, A = [[0, B], [B*, 0]], contributes +-sigma_i(B) plus
-|p - q| zeros for its p x q biadjacency block B (Jordan-Wielandt).  Below
-the one size switch ``graphs.ARRAY_MIN_ORDER`` (32) one dense solve of the
-whole matrix is cheaper, and ``eigenvalues(adjacency(phi))`` stays the dense
-reference either way.
+|p - q| zeros for its p x q biadjacency block B (Jordan-Wielandt).
+``_blocks`` picks each graph's blocks, ``spectra_of`` stacks them by kind
+and shape, and ``eigenvalues(adjacency(phi))`` stays the dense reference.
 
 Hermitian matrices go to ``np.linalg.eigh`` (divide and conquer), one call
 per stack.  From order ``_MRRR_MIN_ORDER`` (256) each matrix instead goes to
@@ -31,7 +30,7 @@ import ctypes
 import glob
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -237,41 +236,35 @@ def _singular_values(b: np.ndarray) -> np.ndarray:
     return s
 
 
-def _component_eigenvalues(phi: GainGraph) -> np.ndarray:
-    """Eigenvalues of A, unsorted, solved one component at a time.
-
-    Each block is the adjacency matrix of its component's induced gain
-    subgraph, never the n x n matrix: a bipartite component's side-0 x
-    side-1 biadjacency part, or any other's whole Hermitian block.  One
-    ``graphs._induced`` call relabels every component with an edge.  Blocks
-    of one kind and shape are stacked and solved in one call.  Isolated
-    vertices and the |p - q| kernel of a bipartite block are exact zeros.
-    """
+def _blocks(phi: GainGraph) -> Iterator[tuple[bool, np.ndarray]]:
+    """The blocks whose spectra make up the spectrum of ``phi``, each with
+    whether it is a bipartite biadjacency block.  An edgeless graph has
+    none; below ``graphs.ARRAY_MIN_ORDER`` the one block is ``adjacency(phi)``.
+    From that order on each component with an edge, relabelled by one
+    ``graphs._induced`` call, gives the adjacency matrix of its induced gain
+    subgraph (of a bipartite one, the side-0 x side-1 part), grouped by kind
+    and shape in order of first appearance: a singular value 0 gives a -0.0,
+    which the sort places by input order.  Isolated vertices and the |p - q|
+    kernel of a p x q bipartite block are exact zeros no block holds."""
+    if phi.graph.m == 0:
+        return
+    if phi.graph.n < graphs.ARRAY_MIN_ORDER:
+        yield False, adjacency(phi)
+        return
     bip = phi.graph._bipartition
     side = np.array(bip.side, dtype=bool)
     split = [(c, b) for c, b in zip(bip.components, bip.exists) if len(c) > 1]
     subs = graphs._induced(phi.graph, [comp for comp, _ in split])
-    stacks: dict[tuple[bool, tuple[int, ...]], list[np.ndarray]] = {}
+    groups: dict[tuple[bool, tuple[int, ...]], list[np.ndarray]] = {}
     for (comp, bipartite), (sub, e) in zip(split, subs):
         block = adjacency(GainGraph.from_gains(sub, phi.gains[e]))
         if bipartite:
             half = side.take(comp)
             block = block.compress(~half, axis=0).compress(half, axis=1)
-        stacks.setdefault((bipartite, block.shape), []).append(block)
-
-    vals = np.zeros(phi.graph.n)
-    filled = 0
-    for (bipartite, _), blocks in stacks.items():
-        # a lone block goes as a view, as np.stack would copy it
-        stack = blocks[0][None] if len(blocks) == 1 else np.stack(blocks)
-        if bipartite:
-            s = _singular_values(stack)
-            part = np.concatenate([s, -s], axis=1)
-        else:
-            part = _eigh(stack)
-        vals[filled : filled + part.size] = part.ravel()
-        filled += part.size
-    return vals
+        groups.setdefault((bipartite, block.shape), []).append(block)
+    for (bipartite, _), blocks in groups.items():
+        for block in blocks:
+            yield bipartite, block
 
 
 def _check_sums(vals: np.ndarray, n: int, sizes: Sequence[int]) -> None:
@@ -292,51 +285,56 @@ def _check_sums(vals: np.ndarray, n: int, sizes: Sequence[int]) -> None:
 
 def spectra_of(phis: Iterable[GainGraph]) -> list[Spectrum]:
     """The spectrum of each gain graph, as ``spectrum`` gives it, in input
-    order, with one solve per order for the graphs below
-    ``graphs.ARRAY_MIN_ORDER``: their adjacency matrices are stacked and go
-    to LAPACK in one call, and every matrix keeps every check of
-    ``eigenvalues``.  Each call solves afresh and returns a new list."""
+    order.  The ``_blocks`` of every graph are stacked by kind and shape,
+    and each stack goes to one ``_eigh`` or ``_singular_values`` call, which
+    checks every matrix in it; the eigenvalues are then sorted and checked
+    once per order.  Each call solves afresh and returns a new list."""
     phis = list(phis)
-    specs: list[Spectrum | None] = [None] * len(phis)
-    stacks: dict[int, list[int]] = {}
+    orders: dict[int, list[int]] = {}
     for i, phi in enumerate(phis):
-        n, m = phi.graph.n, phi.graph.m
-        _require_dense_order(n)
-        if m == 0:
-            specs[i] = _descending_spectra(np.zeros((1, n)))[0]
-        elif n < graphs.ARRAY_MIN_ORDER:
-            stacks.setdefault(n, []).append(i)
+        _require_dense_order(phi.graph.n)
+        orders.setdefault(phi.graph.n, []).append(i)
+    tables = {n: np.zeros((len(members), n)) for n, members in orders.items()}
+    stacks: dict[tuple[bool, tuple[int, ...]], list] = {}
+    for n, members in orders.items():
+        for row, i in zip(tables[n], members):
+            # a row fills in its graph's block order, so the sort sees the
+            # same row in any batch
+            filled = 0
+            for bipartite, block in _blocks(phis[i]):
+                width = 2 * min(block.shape) if bipartite else len(block)
+                part = row[filled : filled + width]
+                stacks.setdefault((bipartite, block.shape), []).append((block, part))
+                filled += width
+    for key in list(stacks):
+        blocks, parts = zip(*stacks.pop(key))
+        # a lone block goes as a view, as np.stack would copy it
+        stack = blocks[0][None] if len(blocks) == 1 else np.stack(blocks)
+        del blocks
+        if key[0]:
+            s = _singular_values(stack)
+            solved = np.concatenate([s, -s], axis=1)
         else:
-            vals = np.sort(_component_eigenvalues(phi))[None]
-            _check_sums(vals, n, [m])
-            (specs[i],) = _descending_spectra(vals)
-    for n, members in stacks.items():
-        group = [phis[i] for i in members]
-        vals = _eigh(np.stack([adjacency(phi) for phi in group]))
-        _check_sums(vals, n, [phi.graph.m for phi in group])
-        for i, spec in zip(members, _descending_spectra(vals)):
-            specs[i] = spec
-    return specs
+            solved = _eigh(stack)
+        for part, values in zip(parts, solved):
+            part[:] = values
+    specs: dict[int, Spectrum] = {}
+    for n, members in orders.items():
+        vals = np.sort(tables[n])
+        _check_sums(vals, n, [phis[i].graph.m for i in members])
+        specs.update(zip(members, _descending_spectra(vals)))
+    return [specs[i] for i in range(len(phis))]
 
 
 def spectrum(phi: GainGraph) -> Spectrum:
-    """Spectrum of a gain graph, with zero-trace and Frobenius sanity checks.
-
-    Dispatch, all under the order limit ``DENSE_MAX_ORDER`` on n:
-      * no edges: all zeros, no solve;
-      * n < ``graphs.ARRAY_MIN_ORDER``: the eigenvalues of ``adjacency(phi)``,
-        one dense solve with every eigenpair residual-checked;
-      * otherwise one solve per kind and shape of component with edges: the
-        singular values of the biadjacency blocks of bipartite components,
-        every singular pair (kernel vectors included) residual-checked
-        against 1e-8 times that block's norm; the eigenvalues of the blocks
-        of any other, checked as ``eigenvalues`` checks a matrix.
-
-    For a gain graph the eigenvalues must sum to 0 (zero diagonal) and their
-    squares must sum to 2m (unit-modulus off-diagonal entries); both are
-    asserted on the assembled spectrum after every solve.  Each call solves
-    afresh; ``spectra_of`` solves many graphs at once.
-    """
+    """Spectrum of a gain graph of order at most ``DENSE_MAX_ORDER``, solved
+    block by block (``_blocks``).  A Hermitian block is checked as
+    ``eigenvalues`` checks a matrix; a bipartite block gives +-sigma_i of
+    its singular values, every singular pair (kernel vectors included)
+    residual-checked against 1e-8 times the block's norm.  The eigenvalues
+    must sum to 0 (zero diagonal) and their squares to 2m (unit-modulus
+    off-diagonal entries), asserted after every solve.  Each call solves
+    afresh; ``spectra_of`` solves many graphs at once."""
     return spectra_of([phi])[0]
 
 

@@ -155,9 +155,13 @@ def test_edge_and_gain_arrays_are_sorted_aligned_and_read_only():
 def test_component_spectrum_is_the_same_from_either_array_source():
     phi = CASES["K_tt union perturbed by 0.5"]
     parsed = parse_gain_graph(serialize_gain_graph(phi))
-    assert np.array_equal(
-        spectra._component_eigenvalues(parsed), spectra._component_eigenvalues(fresh(parsed))
-    )
+    blocks = list(spectra._blocks(parsed))
+    assert [b.shape for _, b in blocks] == [(30, 30), (20, 20)]
+    for (kind, block), (fresh_kind, fresh_block) in zip(
+        blocks, spectra._blocks(fresh(parsed)), strict=True
+    ):
+        assert kind == fresh_kind and block.shape == fresh_block.shape
+        assert block.tobytes() == fresh_block.tobytes()
 
 
 # ---------------------------------------------------------------------------

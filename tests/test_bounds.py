@@ -600,14 +600,16 @@ def test_lemma_suite_agrees_on_both_spectrum_paths(monkeypatch):
 def test_lemma_suite_stays_on_the_small_graph_paths(monkeypatch):
     # Every lemma-suite graph has at most nmax vertices, below
     # graphs.ARRAY_MIN_ORDER: the sweep takes no array pass (CSR adjacency,
-    # balance screen, per-component solve) and solves no block by SVD, where
+    # balance screen, per-component blocks) and solves no block by SVD, where
     # the array paths would cost it per-call overhead.  Every graph's
-    # adjacency is built, by the BFS behind the balance check if not before.
+    # adjacency is built, by the BFS behind the balance check if not before,
+    # and every block solved is its graph's whole n x n matrix.
     from gainspec import graphs, spectra
 
     adjacency = Graph.__dict__["_adjacency"].func
     real_svd = np.linalg.svd
-    orders, array_passes, factored = [], [], []
+    real_blocks = spectra._blocks
+    orders, factored, blocks = [], [], []
 
     def counting_adjacency(g):
         orders.append(g.n)
@@ -617,16 +619,19 @@ def test_lemma_suite_stays_on_the_small_graph_paths(monkeypatch):
         factored.append(b.shape)
         return real_svd(b, *args, **kwargs)
 
-    def no_array_pass(*args, **kwargs):
-        array_passes.append(args)
-        raise AssertionError("an array pass ran in the lemma suite")
+    def whole_matrix_blocks(phi):
+        for bipartite, block in real_blocks(phi):
+            blocks.append(phi.graph.n)
+            assert not bipartite and block.shape == (phi.graph.n, phi.graph.n)
+            assert block.tobytes() == spectra.adjacency(phi).tobytes()
+            yield bipartite, block
 
     monkeypatch.setattr(Graph, "_adjacency", property(counting_adjacency))
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(spectra, "_component_eigenvalues", no_array_pass)
+    monkeypatch.setattr(spectra, "_blocks", whole_matrix_blocks)
     run_lemma_suite(seed=1, trials=40, nmax=16)
     assert orders and max(orders) < graphs.ARRAY_MIN_ORDER
-    assert array_passes == [] and factored == []
+    assert blocks and factored == []
 
 
 def test_subgraph_lemma_judges_every_extremal_split_visit():
@@ -694,6 +699,26 @@ def test_lemma_suite_batches_its_solves(monkeypatch):
     run_lemma_suite(seed=1, trials=200, nmax=10)
     assert sum(matrices) > 1000
     assert len(calls) < sum(matrices) / 4
+
+
+def test_lemma_suite_lapack_call_count_is_pinned(monkeypatch):
+    # The benchmark's sweep: every window solves its graphs in one stack per
+    # order, so a change to the batching moves this count.
+    real_eigh, real_svd = np.linalg.eigh, np.linalg.svd
+    calls = {"eigh": 0, "svd": 0}
+
+    def counting_eigh(a, *args, **kwargs):
+        calls["eigh"] += 1
+        return real_eigh(a, *args, **kwargs)
+
+    def counting_svd(b, *args, **kwargs):
+        calls["svd"] += 1
+        return real_svd(b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    run_lemma_suite(seed=1, trials=1000, nmax=16)
+    assert calls == {"eigh": 470, "svd": 0}
 
 
 def test_lemma_suite_leaves_no_gain_graphs_alive(monkeypatch):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from gainspec import (
-    bounds, cli, corpus, gains, parse_gain_graph, serialize_gain_graph, spectra,
+    bounds, cli, complete_graph, corpus, gains, kronecker, load_gain_graph,
+    parse_gain_graph, serialize_gain_graph, spectra,
 )
 from gainspec.cli import main
 
@@ -336,6 +338,24 @@ def test_double_triangle(capsys, tmp_path):
     assert doc["ok"]
     doubled = parse_gain_graph(out_path.read_text())
     assert doubled.graph.n == 6 and doubled.graph.m == 6
+
+
+def test_double_of_an_undecodable_file_name_writes_utf8(capsys, tmp_path):
+    # the file name's byte 0xff decodes to a lone surrogate, which the
+    # comment line carries as its backslash escape
+    src, dst = tmp_path / os.fsdecode(b"in\xff.ugg"), tmp_path / "out.ugg"
+    main(["generate", "cycle", "5", "--out", str(src)])
+    capsys.readouterr()
+    code, _, _ = run_cli(capsys, "double", str(src), "--out", str(dst))
+    assert code == 0
+    product = kronecker(load_gain_graph(src), complete_graph(2))
+    doubled = load_gain_graph(dst)
+    assert doubled.graph == product.graph
+    assert serialize_gain_graph(doubled) == serialize_gain_graph(product)
+    comment = f"# bipartite double of {tmp_path}{os.sep}in\\udcff.ugg\n"
+    assert dst.read_text(encoding="utf-8").startswith(comment)
+    code, out, _ = run_cli(capsys, "double", str(src))
+    assert code == 0 and out == dst.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("target", ["missing/x.ugg", "."])

@@ -337,6 +337,14 @@ def test_chunked_writer_gives_the_edge_by_edge_text(monkeypatch, tmp_path, m):
         assert path.read_bytes().decode() == serialize_gain_graph(phi, comment) == expected
 
 
+def test_a_comment_utf8_cannot_encode_is_saved_escaped(tmp_path):
+    phi = random_gain_graph(gnp_graph(6, 0.5, random.Random(4)), 4)
+    path = tmp_path / "surrogate.ugg"
+    save_gain_graph(phi, path, comment="\ud800")
+    assert path.read_bytes().startswith(b"# \\ud800\nugg 6\n")
+    assert serialize_gain_graph(load_gain_graph(path)) == serialize_gain_graph(phi)
+
+
 def test_save_holds_a_chunk_not_the_text(tmp_path):
     import gc
     import tracemalloc

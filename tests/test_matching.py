@@ -144,6 +144,19 @@ def test_an_isolated_root_starts_no_alternating_search(monkeypatch):
     assert maximum_matching(empty_graph(40)).mu == 0 and roots == []
 
 
+@pytest.mark.parametrize(
+    "edge", [(0, 0), (-1, 2), (1.5, 2), (True, 2), (2, 1), (0, 1, 2)]
+)
+def test_matching_result_refuses_a_malformed_edge(edge):
+    with pytest.raises(ValueError, match=r"^matched edges must be integer pairs"):
+        MatchingResult({edge})
+
+
+def test_matching_result_refuses_edges_that_share_a_vertex():
+    with pytest.raises(ValueError, match="^matched edges share a vertex$"):
+        MatchingResult({(0, 1), (1, 2)})
+
+
 def test_matching_result_keeps_its_own_frozen_sets():
     edges = {(0, 1)}
     result = MatchingResult(edges)

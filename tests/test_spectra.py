@@ -762,20 +762,62 @@ def test_mixed_batch_takes_both_paths(monkeypatch):
     assert max(phi.graph.n for phi in small) < graphs.ARRAY_MIN_ORDER
     assert min(phi.graph.n for phi in large) >= graphs.ARRAY_MIN_ORDER
     phis = small[:2] + large + small[2:] + [large[1]]
-    real_component = spectra._component_eigenvalues
-    solved = []
+    real_induced = graphs._induced
+    split = []
 
-    def counting(phi):
-        solved.append(phi)
-        return real_component(phi)
+    def counting(g, sets):
+        split.append(g)
+        return real_induced(g, sets)
 
-    monkeypatch.setattr(spectra, "_component_eigenvalues", counting)
+    # a graph yields component blocks when _blocks splits it by component
+    monkeypatch.setattr(graphs, "_induced", counting)
     specs = spectra.spectra_of(phis)
-    assert {id(p) for p in solved} == set(map(id, large))
+    assert {id(g) for g in split} == {id(phi.graph) for phi in large}
     for phi, spec in zip(phis, specs):
         fresh = spectrum(pickle.loads(pickle.dumps(phi)))
         assert spec.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
         assert spec.energy == fresh.energy
+
+
+def test_batch_makes_one_lapack_call_per_kind_and_shape(monkeypatch):
+    # Blocks of different graphs share stacks: the two switched unions of
+    # K_20,20 and K_16,16 bring two blocks of each shape, and the K5 and
+    # C31 components of a graph of order 36 share the stacks of the small
+    # graphs of orders 5 and 31.  The all-ones union has eigenvalues -0.0,
+    # which must keep their places in a batch.
+    rng = random.Random(29)
+    small = _random_graphs([5, 5, 9, 31], rng)
+    large = [extremal_union([20, 16], switch_seed=s) for s in (1, 2)] + [
+        random_gain_graph(gnp_graph(40, 0.1, rng), rng),
+        extremal_union([3, 2, 3, 9], isolated=3),
+        random_gain_graph(disjoint_union(complete_graph(5), cycle_graph(31)), rng),
+        all_ones(empty_graph(40)),
+    ]
+    phis = small[:2] + large[:2] + small[2:] + large[2:]
+    real_eigh, real_svd = np.linalg.eigh, np.linalg.svd
+    calls = []
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append((False, a.shape[1:]))
+        return real_eigh(a, *args, **kwargs)
+
+    def counting_svd(b, *args, **kwargs):
+        calls.append((True, b.shape[1:]))
+        return real_svd(b, *args, **kwargs)
+
+    kinds = [(bipartite, b.shape) for phi in phis for bipartite, b in spectra._blocks(phi)]
+    assert min(phi.graph.n for phi in large) >= graphs.ARRAY_MIN_ORDER
+    assert kinds.count((True, (20, 20))) == 2 and kinds.count((False, (5, 5))) == 3
+    assert kinds.count((False, (31, 31))) == 2 and kinds.count((True, (3, 3))) == 2
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", counting_eigh)
+        m.setattr(np.linalg, "svd", counting_svd)
+        specs = spectra.spectra_of(phis)
+    assert sorted(calls) == sorted(set(kinds))
+    for phi, spec in zip(phis, specs, strict=True):
+        solo = spectrum(pickle.loads(pickle.dumps(phi)))
+        assert spec.eigenvalues.tobytes() == solo.eigenvalues.tobytes()
+        assert spec.energy == solo.energy
 
 
 def test_analysis_sorts_an_in_memory_gain_graph_once(monkeypatch):
