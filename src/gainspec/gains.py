@@ -71,14 +71,14 @@ class GainGraph:
         """The gain graph with ``gains[i]`` on the edge (graph.us[i], graph.vs[i]).
         Every gain graph is built here: one gain per edge, each of modulus 1
         within 1e-12, kept in its own read-only copy."""
-        gains = np.array(gains, dtype=complex)
+        gains = np.asarray(gains, dtype=complex)
         if gains.shape != (graph.m,):
             raise ValueError(f"expected {graph.m} gains, got shape {gains.shape}")
+        gains = graphs._frozen(gains, complex)
         if not (all(abs(abs(z) - 1.0) <= UNIT_TOL for z in gains.tolist())
                 if graph.n < graphs.ARRAY_MIN_ORDER
                 else (np.abs(np.abs(gains) - 1.0) <= UNIT_TOL).all()):
             raise ValueError(f"every gain must have modulus 1 within {UNIT_TOL}")
-        gains.flags.writeable = False
         phi = object.__new__(cls)
         phi.__dict__.update(graph=graph, gains=gains)
         return phi

@@ -29,6 +29,13 @@ Edge = tuple[int, int]
 ARRAY_MIN_ORDER = 32
 
 
+def _frozen(a: np.ndarray, dtype: type) -> np.ndarray:
+    """A 1-D copy of ``a`` as ``dtype`` that no one can make writable: it
+    views an immutable ``bytes`` copy, so numpy refuses to set its
+    WRITEABLE flag."""
+    return np.frombuffer(np.asarray(a, dtype=dtype).tobytes(), dtype=dtype)
+
+
 def _normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
@@ -74,7 +81,7 @@ class Graph:
         if (us.dtype.kind not in "iu" or vs.dtype.kind not in "iu"
                 or us.ndim != 1 or us.shape != vs.shape):
             raise ValueError("edge endpoints must be two integer arrays of one length")
-        us, vs = us.astype(np.intp), vs.astype(np.intp)
+        us, vs = _frozen(us, np.intp), _frozen(vs, np.intp)
         if n < ARRAY_MIN_ORDER:  # below the size switch one loop beats the array calls
             ul, vl = us.tolist(), vs.tolist()
             ok = all(map(tuple.__lt__, zip(ul, vl), zip(ul[1:], vl[1:]))) and all(
@@ -84,7 +91,6 @@ class Graph:
             ok = rise.all() and (us[:1] >= 0).all() and ((us < vs) & (vs < n)).all()
         if not ok:
             raise ValueError(f"edges must be distinct pairs 0 <= u < v < {n}, ascending")
-        us.flags.writeable = vs.flags.writeable = False
         g = object.__new__(cls)
         g.__dict__.update(n=n, us=us, vs=vs)
         return g

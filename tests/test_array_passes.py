@@ -240,7 +240,9 @@ def test_producers_keep_owned_read_only_arrays(name):
     own = _arrays(made)
     for arr in own.values():
         assert not arr.flags.writeable
-        assert arr.base is None or not arr.base.flags.writeable
+        assert isinstance(arr.base, bytes)  # immutable memory
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            arr.flags.writeable = True
         with pytest.raises(ValueError, match="read-only"):
             arr[:1] = 0
     # A gain graph may hold the very graph it was given, an immutable value;

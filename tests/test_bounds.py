@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -719,6 +720,31 @@ def test_lemma_suite_lapack_call_count_is_pinned(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     run_lemma_suite(seed=1, trials=1000, nmax=16)
     assert calls == {"eigh": 470, "svd": 0}
+
+
+def test_lemma_suite_sorts_no_spectrum_row(monkeypatch):
+    # Below graphs.ARRAY_MIN_ORDER a row is one Hermitian block, which LAPACK
+    # returns ascending, so spectra_of has nothing to sort in the sweep.
+    from gainspec import spectra
+
+    real_eigh, real_sort = np.linalg.eigh, np.sort
+    calls = {"eigh": 0, "sort": 0}
+
+    def counting_eigh(a, *args, **kwargs):
+        calls["eigh"] += 1
+        return real_eigh(a, *args, **kwargs)
+
+    def counting_sort(a, *args, **kwargs):
+        calls["sort"] += sys._getframe(1).f_code is spectra.spectra_of.__code__
+        return real_sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np, "sort", counting_sort)
+    run_lemma_suite(seed=1, trials=1000, nmax=16)
+    assert calls == {"eigh": 470, "sort": 0}
+    # a row of several blocks is still sorted
+    spectra.spectra_of([extremal_union([20, 16], isolated=3)])
+    assert calls["sort"] == 1
 
 
 def test_lemma_suite_leaves_no_gain_graphs_alive(monkeypatch):

@@ -1,5 +1,6 @@
 import ast
 import cmath
+import copy
 import math
 import pickle
 import random
@@ -486,6 +487,19 @@ def test_gains_are_immutable_after_construction():
     store[(0, 1)] = 1j
     assert psi.gain(0, 1) == 1.0
     assert dict(pickle.loads(pickle.dumps(psi)).forward) == dict(psi.forward)
+
+
+@pytest.mark.parametrize("n", [5, 40])
+def test_gain_arrays_cannot_be_made_writable(n):
+    phi = random_gain_graph(cycle_graph(n), n)
+    gains = phi.gains.tobytes()
+    copies = [phi, pickle.loads(pickle.dumps(phi)), copy.copy(phi), copy.deepcopy(phi)]
+    for psi in copies:
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            psi.gains.flags.writeable = True
+        with pytest.raises(ValueError, match="read-only"):
+            psi.gains[0] = 99.0
+    assert all(psi.gains.tobytes() == gains for psi in copies)
 
 
 def test_the_package_keeps_no_global_memo():

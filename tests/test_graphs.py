@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import re
 from collections import deque
@@ -451,3 +453,16 @@ def test_induced_loop_path_equals_the_array_path(monkeypatch):
             assert _induced_forms(g, sets) == loops
         errors += isinstance(loops, str)
     assert 0 < errors < 300
+
+
+@pytest.mark.parametrize("n", [5, graphs.ARRAY_MIN_ORDER + 3])
+def test_graph_endpoints_cannot_be_made_writable(n):
+    g = path_graph(n)
+    copies = [g, pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)]
+    for h in copies:
+        for arr in (h.us, h.vs):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                arr.flags.writeable = True
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 99
+    assert all(h == path_graph(n) and h.us[0] == 0 for h in copies)

@@ -313,19 +313,37 @@ def test_spectra_are_read_only():
 
 
 def test_a_spectrum_keeps_its_own_copy():
-    # no array a Spectrum holds is writable through .base, and none aliases
-    # or freezes an array its caller still holds
+    # no array a Spectrum holds can be made writable, and none aliases or
+    # freezes an array its caller still holds
     from gainspec import Spectrum, spectra_of
 
     phis = [all_ones(complete_bipartite(2, 2)), all_ones(complete_bipartite(1, 3))]
     for spec in spectra_of(phis) + [spectrum(all_ones(complete_bipartite(20, 20)))]:
-        base = spec.eigenvalues.base
-        assert base is None or not base.flags.writeable
+        assert isinstance(spec.eigenvalues.base, bytes)  # immutable memory
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            spec.eigenvalues.flags.writeable = True
     assert list(spectrum(phis[0]).eigenvalues) == pytest.approx([2, 0, 0, -2], abs=1e-12)
     stack = np.array([[3.0, -3.0], [1.0, -1.0]])
     spec = Spectrum(stack[0], 6.0)
     stack[0, 0] = 99.0
     assert stack.flags.writeable and list(spec.eigenvalues) == [3.0, -3.0]
+
+
+def test_eigenvalues_cannot_be_made_writable():
+    from gainspec import Spectrum
+
+    specs = [spectrum(all_ones(complete_bipartite(2, 2))),
+             spectrum(all_ones(complete_bipartite(20, 20))),
+             Spectrum(np.array([1.0, -1.0]), 2.0)]
+    copies = specs + [f(s) for s in specs
+                      for f in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy)]
+    for spec in copies:
+        values = spec.eigenvalues.tobytes()
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            spec.eigenvalues.flags.writeable = True
+        with pytest.raises(ValueError, match="read-only"):
+            spec.eigenvalues[0] = 99.0
+        assert spec.eigenvalues.tobytes() == values
 
 
 @pytest.mark.parametrize(
@@ -965,3 +983,173 @@ def test_without_the_binding_a_large_block_gets_eighs_bits(monkeypatch):
     a = adjacency(induced_gain_subgraph(phi, comp))
     monkeypatch.setattr(spectra, "_zheevr", lambda: None)
     assert spectra._eigh(a[None])[0].tobytes() == np.linalg.eigh(a)[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Large sparse matrices are checked from their nonzero entries.
+# ---------------------------------------------------------------------------
+
+
+def _component_775():
+    """The 775-vertex non-bipartite component of `generate gnp 1000 0.002
+    --seed 1`, 0.31% of its adjacency matrix nonzero."""
+    rng = random.Random(1)
+    phi = random_gain_graph(gnp_graph(1000, 0.002, rng), rng)
+    comp = max(graphs.components(phi.graph), key=len)
+    assert len(comp) == 775
+    return induced_gain_subgraph(phi, comp)
+
+
+def _sparse_300(seed=5):
+    a = adjacency(random_gain_graph(gnp_graph(300, 0.01, random.Random(seed)), seed))
+    assert spectra._nonzeros(a[None]) is not None
+    return a
+
+
+def _recording_residuals(monkeypatch):
+    """Record which residual check each ``_eigh`` call takes."""
+    taken = []
+    for name in ("_dense_residuals", "_nonzero_residuals"):
+        def record(*args, _name=name, _real=getattr(spectra, name)):
+            taken.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(spectra, name, record)
+    return taken
+
+
+def test_a_large_sparse_block_is_checked_from_its_nonzeros(monkeypatch):
+    taken = _recording_residuals(monkeypatch)
+    phi = _component_775()
+    spec = spectrum(phi)
+    assert taken == ["_nonzero_residuals"]
+    reference = np.linalg.eigvalsh(adjacency(phi))[::-1]
+    np.testing.assert_allclose(spec.eigenvalues, reference, atol=1e-11)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: _large_stack(3), lambda: adjacency(all_ones(complete_graph(300)))[None]],
+    ids=["random-dense-stack", "all-ones-K300"],
+)
+def test_dense_large_blocks_keep_the_blas_product(monkeypatch, build):
+    taken = _recording_residuals(monkeypatch)
+    stack = build()
+    assert spectra._nonzeros(stack) is None
+    spectra._eigh(stack)
+    assert taken == ["_dense_residuals"]
+
+
+def test_small_and_bipartite_blocks_never_reach_the_nonzero_check(monkeypatch):
+    # below _MRRR_MIN_ORDER every stack keeps the dense checks, however sparse
+    taken = _recording_residuals(monkeypatch)
+    a = adjacency(random_gain_graph(gnp_graph(200, 0.005, random.Random(3)), 3))
+    assert spectra._nonzeros(a[None]) is None
+    eigenvalues(a)
+    spectrum(extremal_union([150, 140], switch_seed=2))  # singular values only
+    assert taken == ["_dense_residuals"]
+
+
+def _set(a, entries):
+    a = a.copy()
+    for (i, j), z in entries.items():
+        a[i, j] = z
+    return a
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {(0, 1): math.nan, (1, 0): math.nan},
+        {(2, 7): math.inf, (7, 2): math.inf},
+        {(4, 4): -math.inf},
+        {(5, 6): complex(1.0, math.nan), (6, 5): 1.0},
+        {(5, 6): complex(0.0, math.nan)},
+    ],
+    ids=["nan-pair", "inf-pair", "minus-inf-diagonal", "nan-imaginary",
+         "nan-imaginary-lone"],
+)
+def test_sparse_non_finite_entries_are_rejected(entries):
+    with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
+        eigenvalues(_set(_sparse_300(), entries))
+
+
+def test_sparse_asymmetry_is_rejected():
+    a = _sparse_300()
+    i, j = map(int, np.argwhere(a != 0)[0])
+    zi, zj = map(int, np.argwhere(a == 0)[1])
+    for entries in ({(i, j): a[i, j] + 1e-9}, {(zi, zj): 1e-9}, {(zj, zi): 1e-9j}):
+        with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
+            eigenvalues(_set(a, entries))
+    # the same entries, half the tolerance off, pass
+    eigenvalues(_set(a, {(zi, zj): 0.5 * spectra.HERMITIAN_TOL}))
+
+
+@needs_zheevr
+def test_corrupt_mrrr_vectors_of_a_sparse_matrix_are_rejected(monkeypatch):
+    a = _sparse_300()
+    calls = []
+    monkeypatch.setattr(spectra, "_zheevr", _counting_zheevr(calls, corrupt={0}))
+    with pytest.raises(RuntimeError, match="^eigensolver residual .* exceeds 1e-08"):
+        eigenvalues(a)
+    assert calls == [300]
+
+
+@needs_zheevr
+def test_a_stack_of_sparse_components_names_the_matrix(monkeypatch):
+    phi = random_gain_graph(
+        disjoint_union(_connected_nonbipartite(300, 2).graph,
+                       _connected_nonbipartite(300, 4).graph), 3)
+    stack = np.stack([block for _, block in spectra._blocks(phi)])
+    assert stack.shape == (2, 300, 300) and spectra._nonzeros(stack) is not None
+    monkeypatch.setattr(spectra, "_zheevr", _counting_zheevr([], corrupt={1}))
+    with pytest.raises(RuntimeError, match="^matrix 1 of 2: eigensolver residual"):
+        spectrum(phi)
+    i, j = map(int, np.argwhere(stack[1] != 0)[0])
+    for value, error in [(math.nan, "matrix has a non-finite entry"),
+                         (stack[1, i, j] + 1e-9, "matrix is not Hermitian")]:
+        bad = stack.copy()
+        bad[1, i, j] = value
+        with pytest.raises(ValueError, match=f"^matrix 1 of 2: {error}"):
+            spectra._eigh(bad)
+
+
+def test_nonzero_residuals_equal_the_dense_product():
+    # arbitrary vectors and values, so every residual is far from 0; a
+    # diagonal entry, empty rows, a partial last chunk (300 = 9 * 32 + 12),
+    # and vectors as eigh (columns) and zheevr (transposed rows) give them
+    a, b = _sparse_300(), _sparse_300(seed=6)
+    b[7, 7] = 2.5
+    stack = np.stack([a, b])
+    assert (np.count_nonzero(stack, axis=2) == 0).any()
+    rng = np.random.default_rng(11)
+    vals = rng.standard_normal((2, 300))
+    vecs = rng.standard_normal((2, 300, 600)).view(complex)
+    nonzeros = spectra._nonzeros(stack)
+    for v in (vecs, np.ascontiguousarray(vecs.swapaxes(1, 2)).swapaxes(1, 2)):
+        np.testing.assert_allclose(
+            spectra._nonzero_residuals(nonzeros, vals, v),
+            spectra._dense_residuals(stack, vals, v), rtol=1e-12)
+
+
+def test_an_all_zero_large_matrix_passes_the_nonzero_checks(monkeypatch):
+    taken = _recording_residuals(monkeypatch)
+    spec = eigenvalues(np.zeros((300, 300)))
+    assert taken == ["_nonzero_residuals"]
+    assert spec.eigenvalues.tobytes() == np.zeros(300).tobytes() and spec.energy == 0.0
+
+
+def test_a_large_sparse_block_peaks_below_three_and_a_half_matrices():
+    import tracemalloc
+
+    phi = _component_775()
+    n = phi.graph.n
+    tracemalloc.start()
+    try:
+        spectrum(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the block, the solver's copy of it and the eigenvectors; the residual
+    # adds chunk buffers only, where a dense A V would add a fourth matrix
+    assert peak < 3.5 * 16 * n**2
