@@ -5,14 +5,16 @@ modulus 1, with gain(v, u) the inverse (= conjugate) of gain(u, v).  A gain
 graph stores one read-only array of the gains of its edges (u, v), u < v,
 aligned with the graph's endpoint arrays; ``gain`` finds an edge there by
 binary search, and ``forward`` is a mapping view built on first use.  The
-other direction is derived, so the inverse invariant holds exactly, and
-gains are renormalized to unit modulus, so products do not drift.
+other direction is derived, so the inverse invariant holds exactly.  A
+stored gain has modulus 1 within ``UNIT_TOL``; products along a path would
+compound that drift, so the tree switching renormalizes each value it forms.
 
 Balance: a gain graph is balanced when every cycle has gain 1, equivalently
 when some per-vertex switching turns every edge gain into 1.  ``is_balanced``
-decides this by propagating a switching function along a BFS spanning tree
-and testing the non-tree edges, and returns a verifiable certificate either
-way.
+decides this with the tree switching, propagated along a BFS spanning tree
+and cached on the gain graph, by testing the non-tree edges, and returns a
+verifiable certificate either way.  ``spectra`` reads the same switching to
+solve a component whose gains it turns real in real arithmetic.
 """
 
 from __future__ import annotations
@@ -92,6 +94,39 @@ class GainGraph:
         """A read-only mapping of each edge (u, v), u < v, ascending, to its gain."""
         pairs = graphs._pairs(self.graph)
         return MappingProxyType(dict(zip(pairs, self.gains.tolist())))
+
+    @cached_property
+    def _switching(self) -> tuple[complex, ...]:
+        """The tree switching, one value per vertex: 1 at each root of
+        ``graph._forest`` and zeta(w) = zeta(u) * gain(w, u) for w's BFS tree
+        parent u, each value renormalized to unit modulus, so that the
+        moduli of the gains do not compound along a tree path.  It switches
+        every tree edge's gain into that gain's modulus.  ``is_balanced`` and
+        ``spectra._blocks`` read it."""
+        g = self.graph
+        order, parent = g._forest[:2]
+        # lift[w] = gain(w, parent(w)), 1 at roots
+        if g.n < graphs.ARRAY_MIN_ORDER:
+            lift = [1.0 + 0.0j] * g.n
+            for u, v, z in zip(g.us.tolist(), g.vs.tolist(), self.gains.tolist()):
+                if parent[v] == u:
+                    lift[v] = z.conjugate()
+                elif parent[u] == v:
+                    lift[u] = z
+        else:
+            par = np.fromiter(parent, np.intp, g.n)
+            down, up = par[g.vs] == g.us, par[g.us] == g.vs
+            lifts = np.ones(g.n, dtype=complex)
+            lifts[g.vs[down]] = self.gains[down].conj()
+            lifts[g.us[up]] = self.gains[up]
+            lift = lifts.tolist()
+        zeta = [1.0 + 0.0j] * g.n
+        for w in order:
+            u = parent[w]
+            if u != -1:
+                z = zeta[u] * lift[w]
+                zeta[w] = z / abs(z)
+        return tuple(zeta)
 
     def gain(self, u: int, v: int) -> complex:
         """Gain of the ordered edge (u, v); the reverse orientation conjugates.
@@ -222,45 +257,26 @@ class BalanceCertificate:
 def is_balanced(phi: GainGraph) -> BalanceCertificate:
     """Spanning-tree balance test with certificate.
 
-    Per component, rooted at its lowest-numbered vertex: set zeta(root) = 1
-    and propagate zeta(v) = zeta(u) * gain(v, u) along BFS tree edges, which
-    switches every tree edge to gain exactly 1.  The graph is balanced iff
-    every non-tree edge then also switches to 1; the switched value of a
-    non-tree edge equals the gain of its fundamental cycle.  On failure the
-    witness cycle is rebuilt from the first failing non-tree edge plus the
-    tree path between its endpoints, and its gain is ``cycle_gain`` of it.
+    Switch by ``phi._switching``, which turns every BFS tree edge's gain into
+    its modulus.  The graph is balanced iff every edge then switches to 1
+    within ``BALANCE_TOL``; the switched value of a non-tree edge equals the
+    gain of its fundamental cycle.  On failure the witness cycle is rebuilt
+    from the first failing edge, which is not a tree edge, plus the tree
+    path between its endpoints, and its gain is ``cycle_gain`` of it.
     """
     g = phi.graph
-    order, parent = g._forest[:2]
-    # lift[w] = gain(w, parent(w)), 1 at roots.  ``rest`` holds the non-tree
-    # edges (u, v, gain), u < v, ascending, so the witness is deterministic.
+    parent = g._forest[1]
+    zeta = phi._switching
+    # ``rest`` holds the edges (u, v, gain), u < v, ascending, that the
+    # scalar test decides, so the witness is deterministic
     if g.n < graphs.ARRAY_MIN_ORDER:
-        lift, rest = [1.0 + 0.0j] * g.n, []
-        for u, v, z in zip(g.us.tolist(), g.vs.tolist(), phi.gains.tolist()):
-            if parent[v] == u:
-                lift[v] = z.conjugate()
-            elif parent[u] == v:
-                lift[u] = z
-            else:
-                rest.append((u, v, z))
+        rest = zip(g.us.tolist(), g.vs.tolist(), phi.gains.tolist())
     else:
-        par = np.fromiter(parent, np.intp, g.n)
-        down, up = par[g.vs] == g.us, par[g.us] == g.vs
-        lifts = np.ones(g.n, dtype=complex)
-        lifts[g.vs[down]] = phi.gains[down].conj()
-        lifts[g.us[up]] = phi.gains[up]
-        lift = lifts.tolist()
-    zeta: list[complex] = [1.0 + 0.0j] * g.n
-    for w in order:
-        u = parent[w]
-        if u != -1:
-            zeta[w] = zeta[u] * lift[w]
-    if g.n >= graphs.ARRAY_MIN_ORDER:
+        zs = np.array(zeta)
         # only suspects, whose switched gain on the arrays misses 1 by more than
         # BALANCE_TOL / 2; the scalar test decides each, as the products may differ
-        zs = np.fromiter(zeta, complex, g.n)
         switched = zs[g.us].conj() * phi.gains * zs[g.vs]
-        hits = np.flatnonzero(~(down | up) & (np.abs(switched - 1.0) > BALANCE_TOL / 2))
+        hits = np.flatnonzero(np.abs(switched - 1.0) > BALANCE_TOL / 2)
         rest = zip(g.us[hits].tolist(), g.vs[hits].tolist(), phi.gains[hits].tolist())
     for u, v, z in rest:
         switched = zeta[u].conjugate() * z * zeta[v]
@@ -269,9 +285,7 @@ def is_balanced(phi: GainGraph) -> BalanceCertificate:
             return BalanceCertificate(
                 balanced=False, violating_cycle=cyc, violation_gain=cycle_gain(phi, cyc)
             )
-    return BalanceCertificate(
-        balanced=True, witness=SwitchingFunction(tuple(zeta))
-    )
+    return BalanceCertificate(balanced=True, witness=SwitchingFunction(zeta))
 
 
 def _fundamental_cycle(parent: Sequence[int], u: int, v: int) -> tuple[int, ...]:

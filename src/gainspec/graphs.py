@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -288,6 +288,19 @@ def _induced(g: Graph, sets: Iterable[Iterable[int]]) -> Iterator[tuple[Graph, n
                 e.append(i)
         return ((Graph.from_arrays(len(kept), np.array(ru, np.intp), np.array(rv, np.intp)),
                  np.array(e, np.intp)) for kept, (ru, rv, e) in zip(sets, found))
+    rank, order, stops = _grouped(g, sets)
+    edges = [order[a:b] for a, b in zip([0] + stops, stops)]
+    return ((Graph.from_arrays(len(kept), rank[g.us[e]], rank[g.vs[e]]), e)
+            for kept, e in zip(sets, edges))
+
+
+def _grouped(g: Graph, sets: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The array pass of ``_induced`` over disjoint vertex sets, each listed
+    in the order its ranks follow: every vertex's position in its set (0
+    outside them), and the indices of the edges with both ends in one set,
+    grouped by set in one stable sort, so each set's stay ascending.  Set
+    k's edges are ``order[a:b]``, b = ``stops[k]`` and a the stop before
+    (0 for the first set)."""
     flat = np.fromiter(chain.from_iterable(sets), np.intp)
     labels = np.repeat(np.arange(len(sets)), np.fromiter(map(len, sets), np.intp))
     group, rank = np.full(g.n, len(sets)), np.zeros(g.n, np.intp)
@@ -297,10 +310,7 @@ def _induced(g: Graph, sets: Iterable[Iterable[int]]) -> Iterator[tuple[Graph, n
     key = group[g.us]  # an edge not inside one set goes to a last bucket, len(sets)
     key[key != group[g.vs]] = len(sets)
     order = np.argsort(key, kind="stable")
-    stops = np.cumsum(np.bincount(key, minlength=len(sets))).tolist()
-    edges = [order[a:b] for a, b in zip([0] + stops, stops)]
-    return ((Graph.from_arrays(len(kept), rank[g.us[e]], rank[g.vs[e]]), e)
-            for kept, e in zip(sets, edges))
+    return rank, order, np.cumsum(np.bincount(key, minlength=len(sets))).tolist()
 
 
 def components(g: Graph) -> list[tuple[int, ...]]:

@@ -9,14 +9,32 @@ spectrum is real.  Energy is the sum of absolute eigenvalues.
 of the connected components; an isolated vertex contributes a 0, and a
 bipartite component, A = [[0, B], [B*, 0]], contributes +-sigma_i(B) plus
 |p - q| zeros for its p x q biadjacency block B (Jordan-Wielandt).
-``_blocks`` picks each graph's blocks, ``spectra_of`` stacks them by kind
-and shape, and ``eigenvalues(adjacency(phi))`` stays the dense reference.
+``_blocks`` picks each graph's blocks, ``spectra_of`` stacks them by kind,
+dtype and shape, and ``eigenvalues(adjacency(phi))`` stays the dense
+reference.
+
+A balanced gain graph is switching equivalent to its underlying graph, and
+a signed one to a graph with gains +-1, so each has the spectrum of a real
+matrix (Reff, Linear Algebra Appl. 436, 2012).  From
+``graphs.ARRAY_MIN_ORDER`` on, each component is switched by the tree
+switching ``GainGraph._switching``, Z = diag(zeta); when every switched gain
+has |Im| <= ``HERMITIAN_TOL``, its block is the float64 matrix R of their
+real parts, solved in real arithmetic (``np.linalg.eigh`` at every order, or
+the real SVD), and the rest stay complex.  A real pair is verified against
+A itself: with E = A - Z R Z^H, read off the edges,
+||A (Z x) - lambda (Z x)|| <= ||R x - lambda x|| + ||E||_F, so each real
+residual is charged ||E||_F (||E_B||_F for a biadjacency block), and the
+eigenvector of A is Z x.
 
 Hermitian matrices go to ``np.linalg.eigh`` (divide and conquer), one call
-per stack.  From order ``_MRRR_MIN_ORDER`` (256) each matrix instead goes to
-LAPACK's MRRR driver ``zheevr``, bound through ``ctypes`` from the OpenBLAS
-library numpy itself loaded; ``np.linalg.eigh`` remains the fallback where
-numpy ships no such library.  Both are checked alike.
+per stack.  From order ``_MRRR_MIN_ORDER`` (256) each complex matrix
+instead goes to LAPACK's MRRR driver ``zheevr``, bound through ``ctypes``
+from the OpenBLAS library numpy itself loaded; ``np.linalg.eigh`` remains
+the fallback where numpy ships no such library.  Both are checked alike.  A
+real matrix needs no such binding: measured, one BLAS thread, real
+``np.linalg.eigh`` of a graph's 0/1 adjacency against ``zheevr`` of the same
+graph with random gains took 9 against 20-27 ms at n = 256, 142 against 435
+ms at 775 and 0.79 against 2.32 s at 1500.
 
 From that order on, a stack with at most ``_SPARSE_MAX_DENSITY`` (3%) of its
 entries nonzero, as the component blocks of sparse graphs are, is checked
@@ -31,8 +49,10 @@ thread, random gain graphs, median of 15, nonzero / dense check time at n =
 0.79, 0.64, 0.56 at 2%; 0.72, 0.68, 0.74 at 3%; 1.23, 1.33, 1.07 at 4%.
 
 Tolerance ladder (each layer absorbs the noise of the one below):
-    1e-12  Hermitian/construction checks
-    1e-8   eigenpair and singular-pair residuals
+    1e-12  Hermitian/construction checks, and |Im| of a real block's
+           switched gains
+    1e-8   eigenpair and singular-pair residuals; a real block's are
+           charged ||E||_F <~ 1e-12 * sqrt(2m) <= 1e-12 * sqrt(n) * ||A||_2
     1e-7   Kronecker spectrum multiset matching and energy doubling
 """
 
@@ -148,10 +168,11 @@ def _zheevr() -> Callable[..., int] | None:
 def _eigenpairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues, ascending, and eigenvectors (as columns) of each matrix
     in a Hermitian stack (k, n, n), as ``np.linalg.eigh`` returns them: one
-    ``np.linalg.eigh`` call below ``_MRRR_MIN_ORDER`` or when ``zheevr`` is
-    not bound, else one ``zheevr`` call per matrix.  Unchecked."""
+    ``np.linalg.eigh`` call for a real stack, below ``_MRRR_MIN_ORDER`` or
+    when ``zheevr`` is not bound, else one ``zheevr`` call per matrix.
+    Unchecked."""
     k, n = stack.shape[:2]
-    zheevr = _zheevr() if n >= _MRRR_MIN_ORDER else None
+    zheevr = _zheevr() if n >= _MRRR_MIN_ORDER and stack.dtype == complex else None
     if zheevr is None:
         return np.linalg.eigh(stack)
     vals = np.empty((k, n))
@@ -242,15 +263,16 @@ def _nonzero_residuals(
     return np.sqrt(residual)
 
 
-def _eigh(stack: np.ndarray) -> np.ndarray:
+def _eigh(stack: np.ndarray, charge: np.ndarray | None = None) -> np.ndarray:
     """Eigenvalues, ascending, of each Hermitian matrix in a stack (k, n, n),
     from ``_eigenpairs``: one LAPACK call per stack below ``_MRRR_MIN_ORDER``,
-    one ``zheevr`` call per matrix from it.  Every matrix is checked as
-    ``eigenvalues`` checks one: finite entries, Hermitian within 1e-12, and
-    every eigenpair's residual ||A v - lambda v|| <= 1e-8 * ||A||_2.  A
+    one ``zheevr`` call per complex matrix from it.  Every matrix is checked
+    as ``eigenvalues`` checks one: finite entries, Hermitian within 1e-12,
+    and every eigenpair's residual ||A v - lambda v|| <= 1e-8 * ||A||_2.  A
     stack that ``_nonzeros`` finds sparse is checked from its nonzero
     entries, with the same outcome for the entry checks, and its residuals
-    come from ``_nonzero_residuals``; any other from dense products."""
+    come from ``_nonzero_residuals``; any other from dense products.  Each
+    matrix's ``charge``, if given, is added to each of its residuals."""
     k, n = stack.shape[:2]
     if n == 0:
         return np.empty((k, 0))
@@ -283,6 +305,8 @@ def _eigh(stack: np.ndarray) -> np.ndarray:
         residual = _dense_residuals(stack, vals, vecs)
     else:
         residual = _nonzero_residuals(nonzeros, vals, vecs)
+    if charge is not None:
+        residual = residual + charge
     _fail_first(
         (scale > 0.0) & (residual > RESIDUAL_TOL * scale), RuntimeError,
         lambda i: f"eigensolver residual {residual[i]:.3e} exceeds "
@@ -312,12 +336,13 @@ def eigenvalues(a: np.ndarray) -> Spectrum:
     return _descending_spectra(_eigh(a[None]))[0]
 
 
-def _singular_values(b: np.ndarray) -> np.ndarray:
+def _singular_values(b: np.ndarray, charge: np.ndarray | None = None) -> np.ndarray:
     """Singular values, descending, of each nonzero block in a stack
     (k, p, q), from one LAPACK call, with every singular pair verified:
     ||B v_i - sigma_i u_i|| and ||B* u_i - sigma_i v_i|| <= 1e-8 * ||B||_2
     for the full U and V, so kernel vectors are checked too (sigma_i = 0
-    beyond min(p, q))."""
+    beyond min(p, q)).  Each block's ``charge``, if given, is added to each
+    of its residuals."""
     u, s, vh = np.linalg.svd(b)
     v = vh.conj().swapaxes(1, 2)
     r = s.shape[1]
@@ -329,6 +354,8 @@ def _singular_values(b: np.ndarray) -> np.ndarray:
         np.max(np.linalg.norm(bv, axis=1), axis=1),
         np.max(np.linalg.norm(bu, axis=1), axis=1),
     )
+    if charge is not None:
+        residual = residual + charge
     _fail_first(
         residual > RESIDUAL_TOL * s[:, 0], RuntimeError,
         lambda i: f"singular value residual {residual[i]:.3e} exceeds "
@@ -337,35 +364,102 @@ def _singular_values(b: np.ndarray) -> np.ndarray:
     return s
 
 
-def _blocks(phi: GainGraph) -> Iterator[tuple[bool, np.ndarray]]:
-    """The blocks whose spectra make up the spectrum of ``phi``, each with
-    whether it is a bipartite biadjacency block.  An edgeless graph has
-    none; below ``graphs.ARRAY_MIN_ORDER`` the one block is ``adjacency(phi)``.
-    From that order on each component with an edge, relabelled by one
-    ``graphs._induced`` call, gives the adjacency matrix of its induced gain
-    subgraph (of a bipartite one, the side-0 x side-1 part), grouped by kind
-    and shape in order of first appearance: a singular value 0 gives a -0.0,
-    which the sort places by input order.  Isolated vertices and the |p - q|
-    kernel of a p x q bipartite block are exact zeros no block holds."""
-    if phi.graph.m == 0:
+def _blocks(phi: GainGraph) -> Iterator[tuple[bool, np.ndarray, np.ndarray | None]]:
+    """The blocks whose spectra make up the spectrum of ``phi``, in stacks
+    (k, p, q), each with whether its blocks are bipartite biadjacency blocks
+    and, for a real stack, each block's charge ||E||_F (None for a complex
+    stack).  An edgeless graph has none; below ``graphs.ARRAY_MIN_ORDER`` the
+    one block is ``adjacency(phi)``.  From that order on each component with
+    an edge gives the adjacency matrix of its induced gain subgraph (of a
+    bipartite one, the side-0 x side-1 part, both sides ascending),
+    scattered from the edge arrays that one ``graphs._grouped`` pass groups
+    by component: components of one kind and shape share a pass over their
+    edges, in order of first appearance, and a singular value 0 gives a
+    -0.0, which the sort places by input order.  A component whose edges
+    all switch by ``phi._switching`` (Z = diag(zeta)) to gains with
+    |Im| <= ``HERMITIAN_TOL`` gives instead the real matrix R of their real
+    parts, with E = A - Z R Z^H read off the edges; the stacks of a group
+    are its real blocks, then its complex ones.  Isolated vertices and the
+    |p - q| kernel of a p x q bipartite block are exact zeros no block
+    holds."""
+    g = phi.graph
+    if g.m == 0:
         return
-    if phi.graph.n < graphs.ARRAY_MIN_ORDER:
-        yield False, adjacency(phi)
+    if g.n < graphs.ARRAY_MIN_ORDER:
+        yield False, adjacency(phi)[None], None
         return
-    bip = phi.graph._bipartition
-    side = np.array(bip.side, dtype=bool)
-    split = [(c, b) for c, b in zip(bip.components, bip.exists) if len(c) > 1]
-    subs = graphs._induced(phi.graph, [comp for comp, _ in split])
-    groups: dict[tuple[bool, tuple[int, ...]], list[np.ndarray]] = {}
-    for (comp, bipartite), (sub, e) in zip(split, subs):
-        block = adjacency(GainGraph.from_gains(sub, phi.gains[e]))
-        if bipartite:
-            half = side.take(comp)
-            block = block.compress(~half, axis=0).compress(half, axis=1)
-        groups.setdefault((bipartite, block.shape), []).append(block)
-    for (bipartite, _), blocks in groups.items():
-        for block in blocks:
-            yield bipartite, block
+    bip = g._bipartition
+    groups: dict[tuple[bool, int, int], list[list[int]]] = {}
+    for comp, bipartite in zip(bip.components, bip.exists):
+        if len(comp) > 1:
+            if bipartite:  # side 0 first, so side 1 ranks from p
+                ranked = [v for v in comp if not bip.side[v]]
+                p = len(ranked)
+                ranked += [v for v in comp if bip.side[v]]
+                key = (True, p, len(comp) - p)
+            else:
+                ranked, key = list(comp), (False, len(comp), len(comp))
+            groups.setdefault(key, []).append(ranked)
+    rank, order, stops = graphs._grouped(
+        g, [ranked for members in groups.values() for ranked in members])
+    zeta = np.array(phi._switching)
+    lo, first = 0, 0
+    for (bipartite, p, q), members in groups.items():
+        ends = stops[first : first + len(members)]
+        first += len(members)
+        yield from _scattered(phi, zeta, bipartite, (p, q), rank, order[lo : ends[-1]],
+                              np.diff([lo] + ends))
+        lo = ends[-1]
+
+
+def _scattered(
+    phi: GainGraph, zeta: np.ndarray, bipartite: bool, shape: tuple[int, int],
+    rank: np.ndarray, edges: np.ndarray, counts: np.ndarray,
+) -> Iterator[tuple[bool, np.ndarray, np.ndarray | None]]:
+    """The stacks of ``_blocks`` for components of one kind and shape, whose
+    edges are ``edges``, ``counts`` of them per component in turn, and whose
+    vertices ``rank`` places (on side 1, from p): the real blocks, then the
+    complex ones.  ``zeta`` is ``phi._switching`` as an array.  The
+    switching's temporaries over the edges are freed before the blocks are
+    scattered."""
+    g = phi.graph
+    starts = np.cumsum(counts) - counts
+    us, vs = g.us[edges], g.vs[edges]
+    zu, zv = zeta[us], zeta[vs]
+    switched = zu.conj()
+    switched *= phi.gains[edges]
+    switched *= zv
+    real = np.maximum.reduceat(np.abs(switched.imag), starts) <= HERMITIAN_TOL
+    if real.any():
+        # each edge's entry of E = A - Z R Z^H: z - zeta(u) * R * conj(zeta(v))
+        zu *= switched.real
+        zu *= np.conjugate(zv, out=zv)
+        gap = np.abs(np.subtract(phi.gains[edges], zu, out=zu))
+        charge = np.sqrt(np.add.reduceat(gap * gap, starts) * (1.0 if bipartite else 2.0))
+    del zu, zv
+    rows, cols = rank[us], rank[vs]
+    del us, vs
+    if bipartite:  # the block holds A[x, y] for x on side 0: conj(z) where u is on side 1
+        flip = rows > cols
+        rows, cols = np.minimum(rows, cols), np.maximum(rows, cols) - shape[0]
+    for dtype in (float, complex):
+        take = real if dtype is float else ~real
+        if not take.any():
+            continue
+        # every edge, or the edges of the blocks taken
+        on = slice(None) if take.all() else np.repeat(take, counts)
+        stack = np.zeros((np.count_nonzero(take), *shape), dtype=dtype)
+        k = np.repeat(np.arange(len(stack)), counts[take])
+        if dtype is float:
+            values, held = switched.real[on], charge[take]
+        else:
+            values, held = phi.gains[edges[on]], None
+            if bipartite:
+                np.conjugate(values, out=values, where=flip[on])
+        stack[k, rows[on], cols[on]] = values
+        if not bipartite:
+            stack[k, cols[on], rows[on]] = values.conj()
+        yield bipartite, stack, held
 
 
 def _check_sums(vals: np.ndarray, n: int, sizes: Sequence[int]) -> None:
@@ -386,44 +480,50 @@ def _check_sums(vals: np.ndarray, n: int, sizes: Sequence[int]) -> None:
 
 def spectra_of(phis: Iterable[GainGraph]) -> list[Spectrum]:
     """The spectrum of each gain graph, as ``spectrum`` gives it, in input
-    order.  The ``_blocks`` of every graph are stacked by kind and shape,
-    and each stack goes to one ``_eigh`` or ``_singular_values`` call, which
-    checks every matrix in it; the eigenvalues are then sorted and checked
-    once per order.  An order whose every row is one Hermitian block of the
-    row's full width, ascending as ``_eigh`` returns it, or no block at all
-    (zeros) skips the sort.  Each call solves afresh and returns a new list."""
+    order.  The ``_blocks`` of every graph are stacked by kind, dtype and
+    shape, and each stack goes to one ``_eigh`` or ``_singular_values``
+    call, which checks every matrix in it; the eigenvalues are then sorted
+    and checked once per order.  An order whose every row is one Hermitian
+    block of the row's full width, ascending as ``_eigh`` returns it, or no
+    block at all (zeros) skips the sort.  Each call solves afresh and
+    returns a new list."""
     phis = list(phis)
     orders: dict[int, list[int]] = {}
     for i, phi in enumerate(phis):
         _require_dense_order(phi.graph.n)
         orders.setdefault(phi.graph.n, []).append(i)
     tables = {n: np.zeros((len(members), n)) for n, members in orders.items()}
-    stacks: dict[tuple[bool, tuple[int, ...]], list] = {}
+    stacks: dict[tuple[bool, np.dtype, tuple[int, ...]], list] = {}
     unsorted: set[int] = set()
     for n, members in orders.items():
         for row, i in zip(tables[n], members):
             # a row fills in its graph's block order, so the sort sees the
             # same row in any batch
             filled = 0
-            for bipartite, block in _blocks(phis[i]):
-                width = 2 * min(block.shape) if bipartite else len(block)
+            for bipartite, stack, charge in _blocks(phis[i]):
+                k, p, q = stack.shape
+                width = 2 * min(p, q) if bipartite else p
                 if bipartite or width < n:
                     unsorted.add(n)
-                part = row[filled : filled + width]
-                stacks.setdefault((bipartite, block.shape), []).append((block, part))
-                filled += width
+                part = row[filled : filled + k * width].reshape(k, width)
+                stacks.setdefault((bipartite, stack.dtype, (p, q)), []).append(
+                    (stack, charge, part))
+                filled += k * width
     for key in list(stacks):
-        blocks, parts = zip(*stacks.pop(key))
-        # a lone block goes as a view, as np.stack would copy it
-        stack = blocks[0][None] if len(blocks) == 1 else np.stack(blocks)
+        blocks, charges, parts = zip(*stacks.pop(key))
+        # a lone stack goes as it is, as np.concatenate would copy it
+        stack = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        charge = None if charges[0] is None else np.concatenate(charges)
         del blocks
         if key[0]:
-            s = _singular_values(stack)
+            s = _singular_values(stack, charge)
             solved = np.concatenate([s, -s], axis=1)
         else:
-            solved = _eigh(stack)
-        for part, values in zip(parts, solved):
-            part[:] = values
+            solved = _eigh(stack, charge)
+        start = 0
+        for part in parts:
+            part[:] = solved[start : start + len(part)]
+            start += len(part)
     specs: dict[int, Spectrum] = {}
     for n, members in orders.items():
         vals = np.sort(tables[n]) if n in unsorted else tables[n]

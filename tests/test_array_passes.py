@@ -156,12 +156,13 @@ def test_component_spectrum_is_the_same_from_either_array_source():
     phi = CASES["K_tt union perturbed by 0.5"]
     parsed = parse_gain_graph(serialize_gain_graph(phi))
     blocks = list(spectra._blocks(parsed))
-    assert [b.shape for _, b in blocks] == [(30, 30), (20, 20)]
-    for (kind, block), (fresh_kind, fresh_block) in zip(
+    assert [b.shape for _, b, _ in blocks] == [(1, 30, 30), (1, 20, 20)]
+    for (kind, block, charge), (fresh_kind, fresh_block, fresh_charge) in zip(
         blocks, spectra._blocks(fresh(parsed)), strict=True
     ):
         assert kind == fresh_kind and block.shape == fresh_block.shape
-        assert block.tobytes() == fresh_block.tobytes()
+        assert block.dtype == fresh_block.dtype and block.tobytes() == fresh_block.tobytes()
+        assert (charge is fresh_charge is None) or charge.tobytes() == fresh_charge.tobytes()
 
 
 # ---------------------------------------------------------------------------

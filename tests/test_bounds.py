@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -621,11 +622,11 @@ def test_lemma_suite_stays_on_the_small_graph_paths(monkeypatch):
         return real_svd(b, *args, **kwargs)
 
     def whole_matrix_blocks(phi):
-        for bipartite, block in real_blocks(phi):
+        for bipartite, stack, charge in real_blocks(phi):
             blocks.append(phi.graph.n)
-            assert not bipartite and block.shape == (phi.graph.n, phi.graph.n)
-            assert block.tobytes() == spectra.adjacency(phi).tobytes()
-            yield bipartite, block
+            assert not bipartite and stack.shape == (1, phi.graph.n, phi.graph.n)
+            assert charge is None and stack[0].tobytes() == spectra.adjacency(phi).tobytes()
+            yield bipartite, stack, charge
 
     monkeypatch.setattr(Graph, "_adjacency", property(counting_adjacency))
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
@@ -704,22 +705,24 @@ def test_lemma_suite_batches_its_solves(monkeypatch):
 
 def test_lemma_suite_lapack_call_count_is_pinned(monkeypatch):
     # The benchmark's sweep: every window solves its graphs in one stack per
-    # order, so a change to the batching moves this count.
+    # order, so a change to the batching moves this count.  Every graph is
+    # below graphs.ARRAY_MIN_ORDER, so its one block is its complex
+    # adjacency matrix: no real stack reaches LAPACK.
     real_eigh, real_svd = np.linalg.eigh, np.linalg.svd
-    calls = {"eigh": 0, "svd": 0}
+    calls = Counter()
 
     def counting_eigh(a, *args, **kwargs):
-        calls["eigh"] += 1
+        calls["eigh", a.dtype.name] += 1
         return real_eigh(a, *args, **kwargs)
 
     def counting_svd(b, *args, **kwargs):
-        calls["svd"] += 1
+        calls["svd", b.dtype.name] += 1
         return real_svd(b, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     run_lemma_suite(seed=1, trials=1000, nmax=16)
-    assert calls == {"eigh": 470, "svd": 0}
+    assert calls == {("eigh", "complex128"): 470}
 
 
 def test_lemma_suite_sorts_no_spectrum_row(monkeypatch):

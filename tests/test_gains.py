@@ -1,6 +1,7 @@
 import ast
 import cmath
 import copy
+import functools
 import math
 import pickle
 import random
@@ -44,7 +45,7 @@ from gainspec import (
     unit,
     unit_from_angle,
 )
-from gainspec.gains import GainGraph
+from gainspec.gains import BALANCE_TOL, GainGraph
 from gainspec.graphs import Graph
 
 angles = st.floats(0.0, 2.0 * math.pi, allow_nan=False)
@@ -351,6 +352,43 @@ def test_balanced_witness_switches_to_all_ones():
         assert all(abs(z - 1.0) <= 1e-9 for z in restored.forward.values())
 
 
+@pytest.mark.parametrize("n, drift", [(3, 9e-13), (40, 1e-13)])
+def test_gains_off_the_circle_within_tolerance_are_balanced(n, drift):
+    # The constructor accepts a modulus within UNIT_TOL of 1, on both sides of
+    # the size switch; a switching value that multiplied those moduli along
+    # a tree path would leave the unit circle and be refused.
+    from gainspec import bound_report
+
+    phi = GainGraph.from_gains(path_graph(n), [1.0 + drift] * (n - 1))
+    cert = is_balanced(phi)
+    assert cert.balanced
+    restored = switch(phi, cert.witness)
+    assert np.max(np.abs(restored.gains - 1.0)) <= BALANCE_TOL
+    assert bound_report(phi).balance.balanced
+
+
+def test_one_tree_switching_serves_balance_and_spectrum(monkeypatch):
+    real = GainGraph.__dict__["_switching"].func
+    calls = []
+
+    def counting(phi):
+        calls.append(phi.graph.n)
+        return real(phi)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(GainGraph, "_switching")
+    monkeypatch.setattr(GainGraph, "_switching", counted)
+    from gainspec import bound_report
+
+    for phi in (switch(all_ones(complete_graph(40)), random_switching(40, 3)),
+                random_gain_graph(gnp_graph(12, 0.5, random.Random(4)), 4)):
+        report = bound_report(phi)
+        assert calls == [phi.graph.n] and report.balance.balanced == (phi.graph.n == 40)
+        calls.clear()
+        if report.balance.balanced:
+            assert report.balance.witness.values == phi._switching
+
+
 def test_is_balanced_matches_oracles():
     rng = random.Random(41)
     seen = set()
@@ -504,7 +542,8 @@ def test_gain_arrays_cannot_be_made_writable(n):
 
 def test_the_package_keeps_no_global_memo():
     # views live on immutable values as cached properties (a graph's
-    # adjacency and BFS forest, a gain graph's forward mapping); a functools
+    # adjacency and BFS forest, a gain graph's forward mapping and tree
+    # switching); a functools
     # memo would keep its arguments alive past a run
     import gainspec
 
@@ -550,5 +589,5 @@ def test_analysis_stores_nothing_on_a_gain_graph(monkeypatch):
     spectra_of(phis)
     run_lemma_suite(seed=1, trials=40, nmax=6)
     assert len(built) > 200
-    fields = {"graph", "gains", "forward"}
+    fields = {"graph", "gains", "forward", "_switching"}
     assert [sorted(vars(phi)) for phi in built if set(vars(phi)) - fields] == []

@@ -683,14 +683,14 @@ def test_per_component_blocks_are_the_induced_adjacency_matrices(monkeypatch):
 
 
 def test_per_component_blocks_come_from_one_relabelling(monkeypatch):
-    real = graphs._induced
+    real = graphs._grouped
     calls = []
 
     def counting(g, sets):
         calls.append(g.n)
         return real(g, sets)
 
-    monkeypatch.setattr(graphs, "_induced", counting)
+    monkeypatch.setattr(graphs, "_grouped", counting)
     rng = random.Random(41)
     for phi in [extremal_union([1, 2, 3] * 20, isolated=5, switch_seed=2),
                 random_gain_graph(gnp_graph(200, 1.2 / 200, rng), rng)]:
@@ -780,15 +780,15 @@ def test_mixed_batch_takes_both_paths(monkeypatch):
     assert max(phi.graph.n for phi in small) < graphs.ARRAY_MIN_ORDER
     assert min(phi.graph.n for phi in large) >= graphs.ARRAY_MIN_ORDER
     phis = small[:2] + large + small[2:] + [large[1]]
-    real_induced = graphs._induced
+    real_grouped = graphs._grouped
     split = []
 
     def counting(g, sets):
         split.append(g)
-        return real_induced(g, sets)
+        return real_grouped(g, sets)
 
     # a graph yields component blocks when _blocks splits it by component
-    monkeypatch.setattr(graphs, "_induced", counting)
+    monkeypatch.setattr(graphs, "_grouped", counting)
     specs = spectra.spectra_of(phis)
     assert {id(g) for g in split} == {id(phi.graph) for phi in large}
     for phi, spec in zip(phis, specs):
@@ -802,7 +802,9 @@ def test_batch_makes_one_lapack_call_per_kind_and_shape(monkeypatch):
     # K_20,20 and K_16,16 bring two blocks of each shape, and the K5 and
     # C31 components of a graph of order 36 share the stacks of the small
     # graphs of orders 5 and 31.  The all-ones union has eigenvalues -0.0,
-    # which must keep their places in a batch.
+    # which must keep their places in a batch.  Balanced components go as
+    # real blocks, the rest as complex ones, and only blocks of one kind,
+    # dtype and shape share a stack.
     rng = random.Random(29)
     small = _random_graphs([5, 5, 9, 31], rng)
     large = [extremal_union([20, 16], switch_seed=s) for s in (1, 2)] + [
@@ -816,17 +818,18 @@ def test_batch_makes_one_lapack_call_per_kind_and_shape(monkeypatch):
     calls = []
 
     def counting_eigh(a, *args, **kwargs):
-        calls.append((False, a.shape[1:]))
+        calls.append((False, a.dtype.char, a.shape[1:]))
         return real_eigh(a, *args, **kwargs)
 
     def counting_svd(b, *args, **kwargs):
-        calls.append((True, b.shape[1:]))
+        calls.append((True, b.dtype.char, b.shape[1:]))
         return real_svd(b, *args, **kwargs)
 
-    kinds = [(bipartite, b.shape) for phi in phis for bipartite, b in spectra._blocks(phi)]
+    kinds = [(bipartite, stack.dtype.char, stack.shape[1:])
+             for phi in phis for bipartite, stack, _ in spectra._blocks(phi) for _ in stack]
     assert min(phi.graph.n for phi in large) >= graphs.ARRAY_MIN_ORDER
-    assert kinds.count((True, (20, 20))) == 2 and kinds.count((False, (5, 5))) == 3
-    assert kinds.count((False, (31, 31))) == 2 and kinds.count((True, (3, 3))) == 2
+    assert kinds.count((True, "d", (20, 20))) == 2 and kinds.count((False, "D", (5, 5))) == 3
+    assert kinds.count((False, "D", (31, 31))) == 2 and kinds.count((True, "d", (3, 3))) == 2
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "eigh", counting_eigh)
         m.setattr(np.linalg, "svd", counting_svd)
@@ -1100,8 +1103,9 @@ def test_a_stack_of_sparse_components_names_the_matrix(monkeypatch):
     phi = random_gain_graph(
         disjoint_union(_connected_nonbipartite(300, 2).graph,
                        _connected_nonbipartite(300, 4).graph), 3)
-    stack = np.stack([block for _, block in spectra._blocks(phi)])
-    assert stack.shape == (2, 300, 300) and spectra._nonzeros(stack) is not None
+    ((_, stack, charge),) = spectra._blocks(phi)
+    assert stack.shape == (2, 300, 300) and stack.dtype == complex and charge is None
+    assert spectra._nonzeros(stack) is not None
     monkeypatch.setattr(spectra, "_zheevr", _counting_zheevr([], corrupt={1}))
     with pytest.raises(RuntimeError, match="^matrix 1 of 2: eigensolver residual"):
         spectrum(phi)
@@ -1153,3 +1157,248 @@ def test_a_large_sparse_block_peaks_below_three_and_a_half_matrices():
     # the block, the solver's copy of it and the eigenvectors; the residual
     # adds chunk buffers only, where a dense A V would add a fourth matrix
     assert peak < 3.5 * 16 * n**2
+
+
+# ---------------------------------------------------------------------------
+# Components that switch to real gains are solved in real arithmetic.
+# ---------------------------------------------------------------------------
+
+
+def _gain_union(*phis):
+    """The disjoint union of gain graphs, each shifted past the ones before;
+    its edges, ascending, are theirs in turn, so the gains concatenate."""
+    g = empty_graph(0)
+    for phi in phis:
+        g = disjoint_union(g, phi.graph)
+    return spectra.GainGraph.from_gains(g, np.concatenate([phi.gains for phi in phis]))
+
+
+def _signed(g, seed):
+    return spectra.GainGraph.from_gains(
+        g, np.random.default_rng(seed).choice([-1.0, 1.0], g.m))
+
+
+def _turned(phi, u, v, angle):
+    return set_gain(phi, u, v, phi.gain(u, v) * unit_from_angle(angle))
+
+
+def _forced_complex(phi, seed):
+    """A copy of ``phi`` whose cached tree switching is a random unit one,
+    under which no component's gains switch to real ones: every block is
+    solved complex."""
+    psi = pickle.loads(pickle.dumps(phi))
+    psi.__dict__["_switching"] = np.exp(
+        2j * np.pi * np.random.default_rng(seed).random(phi.graph.n))
+    return psi
+
+
+def _dtypes(phi):
+    return {stack.dtype.char for _, stack, _ in spectra._blocks(phi)}
+
+
+def _mixed_unions(rng):
+    """Balanced, signed and unbalanced components, bipartite and not, as
+    they are and switched."""
+    mixed = _gain_union(
+        extremal_union([6], switch_seed=2),                                # balanced K_6,6
+        random_gain_graph(complete_bipartite(4, 5), rng),                  # unbalanced, bipartite
+        switch(all_ones(cycle_graph(7)), random_switching(7, 3)),          # balanced odd cycle
+        random_gain_graph(complete_graph(5), rng),                         # unbalanced K5
+        _turned(all_ones(cycle_graph(9)), 0, 1, math.pi),                  # signed, unbalanced
+        random_gain_graph(random_tree(8, rng), rng),                       # a tree: balanced
+        switch(_signed(complete_bipartite(3, 4), 4), random_switching(7, 5)),
+        random_gain_graph(cycle_graph(6), rng),                            # unbalanced even cycle
+    )
+    return [mixed, switch(mixed, random_switching(mixed.graph.n, 9))]
+
+
+_REAL_SWITCHABLE = {
+    "switched extremal unions": lambda rng: [
+        extremal_union([40, 25], isolated=7, switch_seed=3),
+        extremal_union([5, 3, 3, 1], isolated=8, switch_seed=5),
+        extremal_union([300, 200], isolated=5, switch_seed=1),
+    ],
+    "signed": lambda rng: [
+        _signed(gnp_graph(60, 0.1, rng), 2),
+        _signed(complete_graph(33), 1),
+        switch(_signed(complete_graph(33), 1), random_switching(33, 6)),
+        switch(_signed(complete_bipartite(14, 18), 7), random_switching(32, 8)),
+    ],
+    "mixed": _mixed_unions,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REAL_SWITCHABLE))
+def test_real_path_matches_a_forced_complex_solve(case):
+    for phi in _REAL_SWITCHABLE[case](random.Random(101)):
+        assert phi.graph.n >= graphs.ARRAY_MIN_ORDER and "d" in _dtypes(phi)
+        reference = _forced_complex(phi, 0)
+        assert _dtypes(reference) == {"D"}
+        if case == "mixed":
+            assert _dtypes(phi) == {"d", "D"}
+        spec, expected = spectrum(phi), spectrum(reference)
+        norm = np.max(np.abs(expected.eigenvalues))
+        assert np.max(np.abs(spec.eigenvalues - expected.eigenvalues)) <= 1e-12 * norm
+        assert abs(spec.energy - expected.energy) <= 1e-12 * norm * phi.graph.n
+
+
+def _k20_turned(angle):
+    # BFS from 0 takes (0, v) for every v of the other side, then (20, u):
+    # (1, 21) is not a tree edge, so its switched gain is e^{i angle}
+    return _turned(extremal_union([20], switch_seed=11), 1, 21, angle)
+
+
+@pytest.mark.parametrize("angle, dtype", [(0.0, "d"), (1e-13, "d"), (-1e-13, "d"),
+                                          (1e-11, "D"), (-1e-11, "D")])
+def test_switched_gains_within_the_hermitian_tolerance_take_the_real_path(
+    monkeypatch, angle, dtype
+):
+    phi = _k20_turned(angle)
+    (bipartite, stack, charge), = spectra._blocks(phi)
+    assert bipartite and stack.shape == (1, 20, 20) and stack.dtype.char == dtype
+    if dtype == "d":
+        # E = A - Z R Z^H is the turned edge's i sin(angle), and rounding
+        assert abs(charge[0] - abs(angle)) <= 1e-14
+    else:
+        assert charge is None
+    solved = []
+    real_svd = np.linalg.svd
+
+    def recording(b, *args, **kwargs):
+        solved.append(b.dtype.char)
+        return real_svd(b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    spec = spectrum(phi)
+    assert solved == [dtype]
+    assert spec.energy == pytest.approx(40.0, abs=1e-9)
+
+
+def _charged_stacks():
+    """Each stack of the real blocks of a balanced K_20,20 and a signed K_40,
+    each with one gain turned by 1e-13, with the dense A, Z and R of its one
+    block."""
+    k20 = _k20_turned(1e-13)
+    k40 = _turned(switch(_signed(complete_graph(40), 12), random_switching(40, 13)),
+                  1, 3, 1e-13)
+    for phi in (k20, k40):
+        (bipartite, stack, charge), = spectra._blocks(phi)
+        a, z = adjacency(phi), np.diag(phi._switching)
+        if bipartite:
+            side0 = np.array(graphs.bipartition(phi.graph).side) == 0
+            a, z = a[np.ix_(side0, ~side0)], (z[np.ix_(side0, side0)], z[np.ix_(~side0, ~side0)])
+        else:
+            z = (z, z)
+        yield stack, charge, a, z
+
+
+def test_real_blocks_are_the_switched_real_parts_and_charge_a_minus_z_r_zh():
+    for stack, charge, a, (zr, zc) in _charged_stacks():
+        assert stack.dtype == float and stack.shape[0] == 1 and charge.shape == (1,)
+        switched = zr.conj().T @ a @ zc
+        assert np.max(np.abs(stack[0] - switched.real)) <= 1e-15
+        e = a - zr @ stack[0] @ zc.conj().T
+        assert charge[0] == pytest.approx(np.linalg.norm(e), rel=1e-6)
+        assert charge[0] >= 0.9e-13  # the turned gain's |Im|, at least
+
+
+def test_a_charge_beyond_the_residual_tolerance_is_refused():
+    x = np.random.default_rng(17).standard_normal((2, 6, 6))
+    stack = x + x.swapaxes(1, 2)
+    b = np.random.default_rng(19).standard_normal((2, 4, 7))
+    for solve, block, text in ((spectra._eigh, stack, "eigensolver residual"),
+                               (spectra._singular_values, b, "singular value residual")):
+        norms = np.linalg.norm(block, 2, axis=(1, 2))
+        solve(block, np.array([0.0, 0.5 * spectra.RESIDUAL_TOL * norms[1]]))
+        with pytest.raises(RuntimeError, match=f"^matrix 1 of 2: {text}"):
+            solve(block, np.array([0.0, 1.5 * spectra.RESIDUAL_TOL * norms[1]]))
+
+
+def test_a_real_block_far_from_a_is_refused_by_its_charge(monkeypatch):
+    # with the tolerance widened, a gain turned by 0.3 still sends the block
+    # to the real path; R then misses A by |E| ~ 0.3, and the residual check,
+    # charged with it, refuses the solve before any sum check runs
+    monkeypatch.setattr(spectra, "HERMITIAN_TOL", 0.5)
+    phi = _k20_turned(0.3)
+    assert _dtypes(phi) == {"d"}
+    with pytest.raises(RuntimeError, match="^singular value residual .* exceeds 1e-08"):
+        spectrum(phi)
+
+
+def _signed_unions(count, block):
+    return _gain_union(*(switch(_signed(block, s), random_switching(block.n, s + 50))
+                         for s in range(count)))
+
+
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_corrupt_real_eigenvectors_name_the_matrix(monkeypatch, k):
+    phi = _signed_unions(7, complete_graph(5))
+    real_eigh = np.linalg.eigh
+
+    def corrupt(a, *args, **kwargs):
+        assert a.dtype == float and a.shape == (7, 5, 5)
+        vals, vecs = real_eigh(a, *args, **kwargs)
+        vecs = vecs.copy()
+        vecs[k] = vecs[k][:, ::-1]  # unit vectors, but paired with the wrong values
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupt)
+    with pytest.raises(RuntimeError, match=f"^matrix {k} of 7: eigensolver residual"):
+        spectrum(phi)
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_corrupt_real_singular_vectors_name_the_matrix(monkeypatch, k):
+    phi = _signed_unions(5, complete_bipartite(3, 4))
+    real_svd = np.linalg.svd
+
+    def wrong_kernel(b, *args, **kwargs):
+        assert b.dtype == float and b.shape == (5, 3, 4)
+        u, s, vh = real_svd(b, *args, **kwargs)
+        vh = vh.copy()
+        vh[k, 3] = vh[k, 0]  # a unit vector, but not in the kernel of B
+        return u, s, vh
+
+    monkeypatch.setattr(np.linalg, "svd", wrong_kernel)
+    with pytest.raises(RuntimeError, match=f"^matrix {k} of 5: singular value residual"):
+        spectrum(phi)
+
+
+def test_many_components_are_scattered_without_per_block_objects(monkeypatch):
+    n = 4096
+    matching = all_ones(Graph.from_arrays(n, np.arange(0, n, 2), np.arange(1, n, 2)))
+    rng = random.Random(103)
+    small = _gain_union(*(random_gain_graph(g, rng) for g in
+                          [cycle_graph(3), complete_bipartite(2, 2), path_graph(4)] * 20))
+    expected = [eigenvalues(adjacency(small)), None]
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a block built a graph or gain graph")
+
+    monkeypatch.setattr(Graph, "from_arrays", unbuilt)
+    monkeypatch.setattr(spectra.GainGraph, "from_gains", unbuilt)
+    for phi, reference in zip((small, matching), expected):
+        assert len(graphs.components(phi.graph)) >= 60 and phi.graph.n >= 32
+        spec = spectrum(phi)
+        if reference is None:
+            assert np.array_equal(np.abs(spec.eigenvalues), np.ones(n))
+        else:
+            np.testing.assert_allclose(spec.eigenvalues, reference.eigenvalues, atol=1e-12)
+
+
+def test_switched_extremal_spectrum_peaks_below_the_complex_blocks():
+    import tracemalloc
+
+    # 12.6 MB was the tracemalloc peak when every block was cut from the
+    # complex adjacency of its component (the 600 x 600 one alone is 5.8 MB);
+    # the real blocks, scattered one group of components at a time, peak
+    # near 8.3 MB, most of it the scatter's temporaries over K_300,300's edges
+    phi = extremal_union([300, 200], isolated=5, switch_seed=1)
+    phi.graph._forest  # the BFS is the graph's, not the solve's
+    tracemalloc.start()
+    try:
+        spectrum(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
