@@ -28,8 +28,11 @@ the edge count; ``serialize_gain_graph`` joins the pieces.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import io
 import math
+import os
+import stat
 import warnings
 from pathlib import Path
 from typing import Iterator
@@ -198,6 +201,17 @@ def load_gain_graph(path: str | Path) -> GainGraph:
 
 
 def save_gain_graph(phi: GainGraph, path: str | Path, comment: str | None = None) -> None:
-    """Write the ``ugg`` text of ``phi`` to ``path``, one chunk of edges at a time."""
-    with open(path, "w", encoding="utf-8") as out:
-        out.writelines(_ugg_chunks(phi, comment))
+    """Write the ``ugg`` text of ``phi`` to ``path``, one chunk of edges at a
+    time.  Once the file is open, a failure while writing or closing it
+    removes it, if ``path`` names a regular file, so no truncated graph is
+    left behind (cut at a line, one would parse as a smaller graph), and is
+    re-raised; a target such as ``/dev/stdout`` is left alone."""
+    out = open(path, "w", encoding="utf-8")
+    try:
+        with out:
+            out.writelines(_ugg_chunks(phi, comment))
+    except BaseException:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
+        raise

@@ -9,9 +9,9 @@ spectrum is real.  Energy is the sum of absolute eigenvalues.
 of the connected components; an isolated vertex contributes a 0, and a
 bipartite component, A = [[0, B], [B*, 0]], contributes +-sigma_i(B) plus
 |p - q| zeros for its p x q biadjacency block B (Jordan-Wielandt).
-``_blocks`` picks each graph's blocks, ``spectra_of`` stacks them by kind,
-dtype and shape, and ``eigenvalues(adjacency(phi))`` stays the dense
-reference.
+``_blocks`` plans each graph's blocks as lists of entries, ``spectra_of``
+fills a stack of each kind, dtype and shape just before its solve, and
+``eigenvalues(adjacency(phi))`` stays the dense reference.
 
 A balanced gain graph is switching equivalent to its underlying graph, and
 a signed one to a graph with gains +-1, so each has the spectrum of a real
@@ -36,14 +36,14 @@ real matrix needs no such binding: measured, one BLAS thread, real
 graph with random gains took 9 against 20-27 ms at n = 256, 142 against 435
 ms at 775 and 0.79 against 2.32 s at 1500.
 
-From that order on, a stack with at most ``_SPARSE_MAX_DENSITY`` (3%) of its
-entries nonzero, as the component blocks of sparse graphs are, is checked
-from its nonzero entries (i, j, a_ij) instead of dense n x n arrays: the
-finiteness and Hermitian checks have the dense outcome exactly (a NaN or an
-infinity is nonzero, and a pair of zero entries is symmetric), and every
-eigenpair residual A v - lambda v is formed in O(nnz * n) work, a chunk of
-eigenvectors at a time, with no dense product A V.  Dense stacks, and all
-stacks below ``_MRRR_MIN_ORDER``, keep the BLAS product.  Measured, one BLAS
+From that order on, a stack of blocks whose plans hold at most
+``_SPARSE_MAX_DENSITY`` (3%) of its entries, as sparse graphs' do, is checked
+from those nonzero entries (i, j, a_ij) instead of dense n x n arrays: the
+finiteness and Hermitian checks have the dense outcome exactly (a pair of
+zero entries is symmetric), and every eigenpair residual A v - lambda v is
+formed in O(nnz * n) work, a chunk of eigenvectors at a time, with no dense
+product A V.  Dense stacks, those below ``_MRRR_MIN_ORDER`` and a raw matrix
+handed to ``eigenvalues`` keep the BLAS product.  Measured, one BLAS
 thread, random gain graphs, median of 15, nonzero / dense check time at n =
 256, 400, 775: 0.31, 0.30, 0.15 at 0.16% density; 0.59, 0.44, 0.35 at 1%;
 0.79, 0.64, 0.56 at 2%; 0.72, 0.68, 0.74 at 3%; 1.23, 1.33, 1.07 at 4%.
@@ -196,19 +196,6 @@ def _eigenpairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs.swapaxes(1, 2)
 
 
-def _nonzeros(stack: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray] | None:
-    """The nonzero entries of a stack (k, n, n), as the index arrays
-    (matrix, row, column) in row-major order and the entries there, when the
-    order is at least ``_MRRR_MIN_ORDER`` and at most ``_SPARSE_MAX_DENSITY``
-    of the stack's entries are nonzero; else None.  A NaN or an infinity is
-    nonzero."""
-    if (stack.shape[1] < _MRRR_MIN_ORDER
-            or np.count_nonzero(stack) > _SPARSE_MAX_DENSITY * stack.size):
-        return None
-    at = np.unravel_index(np.flatnonzero(stack), stack.shape)
-    return at, stack[at]
-
-
 def _dense_residuals(stack: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """max_i ||A v_i - lambda_i v_i|| of each matrix A of a stack, from the
     dense product A V."""
@@ -222,8 +209,9 @@ def _nonzero_residuals(
     vals: np.ndarray,
     vecs: np.ndarray,
 ) -> np.ndarray:
-    """max_i ||A v_i - lambda_i v_i|| of each matrix A of a stack, from the
-    nonzero entries ``_nonzeros`` gives, in O(nnz * n) work.  Each matrix's
+    """max_i ||A v_i - lambda_i v_i|| of each matrix A of a stack, from its
+    nonzero entries, as the index arrays (matrix, row, column) in row-major
+    order and the entries there, in O(nnz * n) work.  Each matrix's
     entries are regrouped as jagged diagonals (Saad, Iterative Methods for
     Sparse Linear Systems, sec. 3.4): with the rows permuted to descending
     count, the t-th entries of the rows holding more than t form diagonal t,
@@ -263,30 +251,31 @@ def _nonzero_residuals(
     return np.sqrt(residual)
 
 
-def _eigh(stack: np.ndarray, charge: np.ndarray | None = None) -> np.ndarray:
+def _eigh(stack: np.ndarray, charge: np.ndarray | None = None,
+          at: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Eigenvalues, ascending, of each Hermitian matrix in a stack (k, n, n),
     from ``_eigenpairs``: one LAPACK call per stack below ``_MRRR_MIN_ORDER``,
     one ``zheevr`` call per complex matrix from it.  Every matrix is checked
     as ``eigenvalues`` checks one: finite entries, Hermitian within 1e-12,
     and every eigenpair's residual ||A v - lambda v|| <= 1e-8 * ||A||_2.  A
-    stack that ``_nonzeros`` finds sparse is checked from its nonzero
-    entries, with the same outcome for the entry checks, and its residuals
-    come from ``_nonzero_residuals``; any other from dense products.  Each
-    matrix's ``charge``, if given, is added to each of its residuals."""
+    stack handed ``at``, the index arrays (matrix, row, column) of all its
+    nonzero entries in row-major order, is checked from the entries there,
+    with the dense outcome for the entry checks, and its residuals come from
+    ``_nonzero_residuals``; any other from dense products.  Each matrix's
+    ``charge``, if given, is added to each of its residuals."""
     k, n = stack.shape[:2]
     if n == 0:
         return np.empty((k, 0))
-    nonzeros = _nonzeros(stack)
-    if nonzeros is None:
+    if at is None:
         nonfinite = ~np.isfinite(stack).all(axis=(1, 2))
     else:
-        (which, rows, cols), entries = nonzeros
+        (which, rows, cols), entries = at, stack[at]
         nonfinite = np.zeros(k, dtype=bool)
         nonfinite[which[~np.isfinite(entries)]] = True
     _fail_first(
         nonfinite, ValueError, lambda i: "matrix has a non-finite entry",
     )
-    if nonzeros is None:
+    if at is None:
         asymmetry = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
     else:
         # a pair of zero entries is symmetric, so the maximum over the
@@ -301,10 +290,10 @@ def _eigh(stack: np.ndarray, charge: np.ndarray | None = None) -> np.ndarray:
     )
     vals, vecs = _eigenpairs(stack)
     scale = np.max(np.abs(vals), axis=1)
-    if nonzeros is None:
+    if at is None:
         residual = _dense_residuals(stack, vals, vecs)
     else:
-        residual = _nonzero_residuals(nonzeros, vals, vecs)
+        residual = _nonzero_residuals((at, entries), vals, vecs)
     if charge is not None:
         residual = residual + charge
     _fail_first(
@@ -364,19 +353,21 @@ def _singular_values(b: np.ndarray, charge: np.ndarray | None = None) -> np.ndar
     return s
 
 
-def _blocks(phi: GainGraph) -> Iterator[tuple[bool, np.ndarray, np.ndarray | None]]:
-    """The blocks whose spectra make up the spectrum of ``phi``, in stacks
-    (k, p, q), each with whether its blocks are bipartite biadjacency blocks
-    and, for a real stack, each block's charge ||E||_F (None for a complex
-    stack).  An edgeless graph has none; below ``graphs.ARRAY_MIN_ORDER`` the
-    one block is ``adjacency(phi)``.  From that order on each component with
-    an edge gives the adjacency matrix of its induced gain subgraph (of a
-    bipartite one, the side-0 x side-1 part, both sides ascending),
-    scattered from the edge arrays that one ``graphs._grouped`` pass groups
-    by component: components of one kind and shape share a pass over their
-    edges, in order of first appearance, and a singular value 0 gives a
-    -0.0, which the sort places by input order.  A component whose edges
-    all switch by ``phi._switching`` (Z = diag(zeta)) to gains with
+def _blocks(phi: GainGraph) -> Iterator[tuple]:
+    """The plans of the blocks whose spectra make up the spectrum of
+    ``phi``, one per stack: whether they are bipartite biadjacency blocks,
+    dtype, shape (k, p, q), nonzero entries (matrix, row, column, value), for
+    a Hermitian stack only those above the diagonal, and for a real stack
+    each block's charge ||E||_F (None for a complex one); no array of a
+    block's shape is allocated.  An edgeless graph has none; below
+    ``graphs.ARRAY_MIN_ORDER`` the one block is ``adjacency(phi)``.  From
+    that order on each component with an edge gives the adjacency matrix of
+    its induced gain subgraph (of a bipartite one, the side-0 x side-1 part,
+    both sides ascending), from the edge arrays that one ``graphs._grouped``
+    pass groups by component: components of one kind and shape share a pass
+    over their edges, in order of first appearance, and a singular value 0
+    gives a -0.0, which the sort places by input order.  A component whose
+    edges all switch by ``phi._switching`` (Z = diag(zeta)) to gains with
     |Im| <= ``HERMITIAN_TOL`` gives instead the real matrix R of their real
     parts, with E = A - Z R Z^H read off the edges; the stacks of a group
     are its real blocks, then its complex ones.  Isolated vertices and the
@@ -386,7 +377,7 @@ def _blocks(phi: GainGraph) -> Iterator[tuple[bool, np.ndarray, np.ndarray | Non
     if g.m == 0:
         return
     if g.n < graphs.ARRAY_MIN_ORDER:
-        yield False, adjacency(phi)[None], None
+        yield False, complex, (1, g.n, g.n), (0, g.us, g.vs, phi.gains), None
         return
     bip = g._bipartition
     groups: dict[tuple[bool, int, int], list[list[int]]] = {}
@@ -415,13 +406,13 @@ def _blocks(phi: GainGraph) -> Iterator[tuple[bool, np.ndarray, np.ndarray | Non
 def _scattered(
     phi: GainGraph, zeta: np.ndarray, bipartite: bool, shape: tuple[int, int],
     rank: np.ndarray, edges: np.ndarray, counts: np.ndarray,
-) -> Iterator[tuple[bool, np.ndarray, np.ndarray | None]]:
-    """The stacks of ``_blocks`` for components of one kind and shape, whose
+) -> Iterator[tuple]:
+    """The plans of ``_blocks`` for components of one kind and shape, whose
     edges are ``edges``, ``counts`` of them per component in turn, and whose
     vertices ``rank`` places (on side 1, from p): the real blocks, then the
     complex ones.  ``zeta`` is ``phi._switching`` as an array.  The
-    switching's temporaries over the edges are freed before the blocks are
-    scattered."""
+    switching's temporaries over the edges are freed before the entries are
+    formed."""
     g = phi.graph
     starts = np.cumsum(counts) - counts
     us, vs = g.us[edges], g.vs[edges]
@@ -448,18 +439,15 @@ def _scattered(
             continue
         # every edge, or the edges of the blocks taken
         on = slice(None) if take.all() else np.repeat(take, counts)
-        stack = np.zeros((np.count_nonzero(take), *shape), dtype=dtype)
-        k = np.repeat(np.arange(len(stack)), counts[take])
+        k = np.count_nonzero(take)
         if dtype is float:
             values, held = switched.real[on], charge[take]
         else:
             values, held = phi.gains[edges[on]], None
             if bipartite:
                 np.conjugate(values, out=values, where=flip[on])
-        stack[k, rows[on], cols[on]] = values
-        if not bipartite:
-            stack[k, cols[on], rows[on]] = values.conj()
-        yield bipartite, stack, held
+        which = np.repeat(np.arange(k), counts[take])
+        yield bipartite, dtype, (k, *shape), (which, rows[on], cols[on], values), held
 
 
 def _check_sums(vals: np.ndarray, n: int, sizes: Sequence[int]) -> None:
@@ -480,46 +468,58 @@ def _check_sums(vals: np.ndarray, n: int, sizes: Sequence[int]) -> None:
 
 def spectra_of(phis: Iterable[GainGraph]) -> list[Spectrum]:
     """The spectrum of each gain graph, as ``spectrum`` gives it, in input
-    order.  The ``_blocks`` of every graph are stacked by kind, dtype and
-    shape, and each stack goes to one ``_eigh`` or ``_singular_values``
-    call, which checks every matrix in it; the eigenvalues are then sorted
-    and checked once per order.  An order whose every row is one Hermitian
-    block of the row's full width, ascending as ``_eigh`` returns it, or no
-    block at all (zeros) skips the sort.  Each call solves afresh and
-    returns a new list."""
+    order.  The ``_blocks`` plans of every graph are grouped by kind, dtype
+    and shape; each group's stack is filled, plan by plan at its offset,
+    just before its one ``_eigh`` or ``_singular_values`` call, which checks
+    every matrix in it, and a sparse Hermitian one is handed the positions
+    of its plans' entries.  The eigenvalues are then sorted and checked once
+    per order.  An order whose every row is one Hermitian block of the row's
+    full width, ascending as ``_eigh`` returns it, or no block at all
+    (zeros) skips the sort.  Each call solves afresh and returns a new list."""
     phis = list(phis)
     orders: dict[int, list[int]] = {}
     for i, phi in enumerate(phis):
         _require_dense_order(phi.graph.n)
         orders.setdefault(phi.graph.n, []).append(i)
     tables = {n: np.zeros((len(members), n)) for n, members in orders.items()}
-    stacks: dict[tuple[bool, np.dtype, tuple[int, ...]], list] = {}
+    plans: dict[tuple[bool, type, tuple[int, int]], list] = {}
     unsorted: set[int] = set()
     for n, members in orders.items():
         for row, i in zip(tables[n], members):
             # a row fills in its graph's block order, so the sort sees the
             # same row in any batch
             filled = 0
-            for bipartite, stack, charge in _blocks(phis[i]):
-                k, p, q = stack.shape
+            for bipartite, dtype, (k, p, q), entries, charge in _blocks(phis[i]):
                 width = 2 * min(p, q) if bipartite else p
                 if bipartite or width < n:
                     unsorted.add(n)
                 part = row[filled : filled + k * width].reshape(k, width)
-                stacks.setdefault((bipartite, stack.dtype, (p, q)), []).append(
-                    (stack, charge, part))
+                plans.setdefault((bipartite, dtype, (p, q)), []).append((k, entries, charge, part))
                 filled += k * width
-    for key in list(stacks):
-        blocks, charges, parts = zip(*stacks.pop(key))
-        # a lone stack goes as it is, as np.concatenate would copy it
-        stack = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    for bipartite, dtype, shape in list(plans):
+        ks, entries, charges, parts = zip(*plans.pop((bipartite, dtype, shape)))
+        stack = np.zeros((sum(ks), *shape), dtype=dtype)
+        # its plans' entries and their mirrors are a Hermitian stack's nonzeros
+        sparse = (not bipartite and shape[0] >= _MRRR_MIN_ORDER
+                  and 2 * sum(len(e[1]) for e in entries) <= _SPARSE_MAX_DENSITY * stack.size)
+        flat, off = [], 0
+        for k, (which, rows, cols, values) in zip(ks, entries):
+            stack[off + which, rows, cols] = values
+            if not bipartite:
+                stack[off + which, cols, rows] = values.conj()
+            if sparse:
+                flat += [np.ravel_multi_index((off + which, *ij), stack.shape)
+                         for ij in ((rows, cols), (cols, rows))]
+            off += k
         charge = None if charges[0] is None else np.concatenate(charges)
-        del blocks
-        if key[0]:
+        del entries, charges, which, rows, cols, values  # no plan outlives its fill
+        if bipartite:
             s = _singular_values(stack, charge)
             solved = np.concatenate([s, -s], axis=1)
         else:
-            solved = _eigh(stack, charge)
+            at = np.unravel_index(np.sort(np.concatenate(flat)), stack.shape) if sparse else None
+            solved = _eigh(stack, charge, at)
+        del stack
         start = 0
         for part in parts:
             part[:] = solved[start : start + len(part)]

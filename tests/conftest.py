@@ -1,11 +1,13 @@
 """Shared brute-force oracles, kept independent of the package internals,
-the fixture that puts every graph on the large-graph paths, and one that
-keeps an exported GAINSPEC_SEED out of every test.
+the fixture that puts every graph on the large-graph paths, one that keeps
+an exported GAINSPEC_SEED out of every test, and ``filled``, which turns a
+block plan of ``spectra._blocks`` into the stack it describes.
 
 Every oracle here recomputes from first principles (fresh adjacency
 matrices, exhaustive enumeration, the Faddeev-LeVerrier recurrence, closed
 forms) so the package's own routines are never on both sides of an
-assertion.  Only public ``gainspec`` names are used.
+assertion.  Only public ``gainspec`` names are used, apart from the plan
+``filled`` reads.
 """
 
 from __future__ import annotations
@@ -60,6 +62,19 @@ def array_paths(monkeypatch):
     """Build adjacency and scan balance on the edge arrays, and solve every
     spectrum component by component, whatever the order."""
     monkeypatch.setattr(graphs, "ARRAY_MIN_ORDER", 0)
+
+
+def filled(plan: tuple) -> tuple[bool, np.ndarray, np.ndarray | None]:
+    """The block stack of one ``spectra._blocks`` plan, as (bipartite,
+    stack, charge): each entry (matrix, row, column, value) written into a
+    zeroed stack of the plan's dtype and shape, and for a Hermitian stack
+    its conjugate at the mirrored place too."""
+    bipartite, dtype, shape, (which, rows, cols, values), charge = plan
+    stack = np.zeros(shape, dtype=dtype)
+    stack[which, rows, cols] = values
+    if not bipartite:
+        stack[which, cols, rows] = np.conj(values)
+    return bipartite, stack, charge
 
 
 def adjacency_oracle(phi: GainGraph) -> np.ndarray:
@@ -211,6 +226,56 @@ def char_poly(a: np.ndarray) -> np.ndarray:
     if n and np.max(np.abs(coeffs.imag)) > 1e-8:
         raise RuntimeError("characteristic polynomial is not real within 1e-8")
     return coeffs.real
+
+
+def _berkowitz(a: list[list[int]]) -> list[int]:
+    """Coefficients of det(t I - A), leading coefficient first, of a square
+    integer matrix given as rows, in exact integers by Berkowitz's
+    division-free recurrence: bordering the leading k x k block B with row
+    r, column c and diagonal entry d multiplies its polynomial by the
+    lower-triangular Toeplitz matrix whose first column is
+    (1, -d, -r c, -r B c, ..., -r B^(k-1) c).  Zero entries are skipped."""
+    poly = [1]
+    for k in range(len(a)):
+        block = [[(j, x) for j, x in enumerate(row[:k]) if x] for row in a[: k + 1]]
+        col, v = [1, -a[k][k]], [row[k] for row in a[:k]]
+        for _ in range(k):
+            col.append(-sum(x * v[j] for j, x in block[k]))
+            v = [sum(x * v[j] for j, x in row) for row in block[:k]]
+        poly = [sum(col[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
+                for i in range(k + 2)]
+    return poly
+
+
+def exact_energy_bracket(phi: GainGraph, eps: float = 1e-13) -> tuple[float, float]:
+    """A lower and an upper bound on the energy of a gain graph whose gains
+    are in T_4 = {1, i, -1, -i}, from its exact characteristic polynomial.
+
+    A = X + iY with integer X and Y, so M = [[X, -Y], [Y, X]] is an integer
+    symmetric matrix with A's spectrum, each multiplicity doubled.  Its
+    characteristic polynomial comes from ``_berkowitz``; sympy factors it and
+    isolates every real root of every factor in a rational interval of
+    width at most ``eps``.  Half the sum of |root| over those intervals,
+    with multiplicity, brackets the energy.  Skips when sympy is missing."""
+    sympy = pytest.importorskip("sympy")
+    n = phi.graph.n
+    x = [[0] * n for _ in range(n)]
+    y = [[0] * n for _ in range(n)]
+    for u, v, z in zip(phi.graph.us.tolist(), phi.graph.vs.tolist(), phi.gains.tolist()):
+        re, im = round(z.real), round(z.imag)
+        if abs(re) + abs(im) != 1 or z != complex(re, im):
+            raise ValueError(f"gain {z!r} of edge ({u}, {v}) is not in T_4")
+        x[u][v] = x[v][u] = re
+        y[u][v], y[v][u] = im, -im
+    m = [xr + [-t for t in yr] for xr, yr in zip(x, y)] + [yr + xr for xr, yr in zip(x, y)]
+    t = sympy.Symbol("t")
+    low = high = sympy.Integer(0)
+    for factor, mult in sympy.factor_list(sympy.Poly(_berkowitz(m), t))[1]:
+        for (a, b), k in factor.intervals(eps=sympy.Rational(eps)):
+            ends = sorted((abs(a), abs(b)))
+            low += mult * k * (0 if a < 0 < b else ends[0])
+            high += mult * k * ends[1]
+    return float(low / 2), float(high / 2)
 
 
 def four_cycle_gain_graph(a: complex, b: complex) -> GainGraph:

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import disjoint_union
+from conftest import disjoint_union, filled
 from gainspec import (
     GainGraph,
     all_ones,
@@ -502,17 +502,17 @@ def test_run_lemma_suite_analyses_each_instance_once(monkeypatch):
 
     # keep every argument alive so that no id is reused
     solved, matched = [], []
-    real_adjacency, real_matching = spectra.adjacency, matching.maximum_matching
+    real_blocks, real_matching = spectra._blocks, matching.maximum_matching
 
-    def counting_adjacency(phi):
+    def counting_blocks(phi):
         solved.append(phi)
-        return real_adjacency(phi)
+        return real_blocks(phi)
 
     def counting_matching(g):
         matched.append(g)
         return real_matching(g)
 
-    monkeypatch.setattr(spectra, "adjacency", counting_adjacency)
+    monkeypatch.setattr(spectra, "_blocks", counting_blocks)
     # bounds binds the name itself, so patch it in both modules
     monkeypatch.setattr(matching, "maximum_matching", counting_matching)
     monkeypatch.setattr(bounds, "maximum_matching", counting_matching)
@@ -622,11 +622,12 @@ def test_lemma_suite_stays_on_the_small_graph_paths(monkeypatch):
         return real_svd(b, *args, **kwargs)
 
     def whole_matrix_blocks(phi):
-        for bipartite, stack, charge in real_blocks(phi):
+        for plan in real_blocks(phi):
+            bipartite, stack, charge = filled(plan)
             blocks.append(phi.graph.n)
             assert not bipartite and stack.shape == (1, phi.graph.n, phi.graph.n)
             assert charge is None and stack[0].tobytes() == spectra.adjacency(phi).tobytes()
-            yield bipartite, stack, charge
+            yield plan
 
     monkeypatch.setattr(Graph, "_adjacency", property(counting_adjacency))
     monkeypatch.setattr(np.linalg, "svd", counting_svd)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gainspec import (
-    bounds, cli, complete_graph, corpus, gains, kronecker, load_gain_graph,
+    bounds, cli, complete_graph, corpus, fileio, gains, kronecker, load_gain_graph,
     parse_gain_graph, serialize_gain_graph, spectra,
 )
 from gainspec.cli import main
@@ -599,6 +599,52 @@ def test_analyze_of_a_blank_body_writes_no_warning(tmp_path, text):
     assert (proc.returncode, proc.stderr) == (0, "")
     report = json.loads(proc.stdout)
     assert (report["n"], report["m"]) == (3, 0)
+
+
+def _limit_file_size():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_FSIZE, (65536, 65536))
+
+
+@pytest.mark.parametrize("command", ["generate", "double"])
+def test_a_failed_out_write_leaves_no_partial_file(tmp_path, command):
+    # cut at a line boundary, a truncated file would parse as a smaller graph
+    out = tmp_path / "out.ugg"
+    argv = ["generate", "complete", "300"]
+    if command == "double":
+        source = tmp_path / "k60.ugg"  # about 50 kB; its double is twice that
+        fileio.save_gain_graph(gains.random_gain_graph(complete_graph(60), 1), source)
+        argv = ["double", str(source)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "gainspec", *argv, "--out", str(out)],
+        capture_output=True, text=True, timeout=120, preexec_fn=_limit_file_size,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("gainspec: ") and len(proc.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_a_failed_save_removes_only_the_regular_file_it_opened(tmp_path, monkeypatch):
+    def failing(phi, comment):
+        yield "ugg 3\n"
+        raise OSError("disk full")
+
+    monkeypatch.setattr(fileio, "_ugg_chunks", failing)
+    phi = gains.all_ones(complete_graph(3))
+    target, link = tmp_path / "x.ugg", tmp_path / "link.ugg"
+    with pytest.raises(OSError, match="^disk full$"):
+        fileio.save_gain_graph(phi, target)
+    assert not target.exists()
+    # a link is not a regular file: it and the file written through it stay
+    link.symlink_to(target)
+    with pytest.raises(OSError, match="^disk full$"):
+        fileio.save_gain_graph(phi, link)
+    assert link.is_symlink() and target.read_text() == "ugg 3\n"
+    # a target that cannot be opened is not touched
+    with pytest.raises(IsADirectoryError):
+        fileio.save_gain_graph(phi, tmp_path)
+    assert tmp_path.is_dir()
 
 
 def test_analyze_of_a_975_block_union_is_consistent(capsys, tmp_path):

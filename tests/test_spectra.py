@@ -14,11 +14,14 @@ from conftest import (
     char_poly,
     disjoint_union,
     energy_oracle,
+    exact_energy_bracket,
+    filled,
     four_cycle_energy,
     four_cycle_gain_graph,
 )
 from gainspec import (
     Graph,
+    SwitchingFunction,
     adjacency,
     all_ones,
     chorded_six_cycle,
@@ -42,7 +45,7 @@ from gainspec import (
     switch,
     unit_from_angle,
 )
-from gainspec.corpus import extremal_union, random_tree
+from gainspec.corpus import extremal_union, ktt_union_graph, random_tree
 
 # frozen by the numeric oracle: energy of the all-ones chorded six-cycle
 CHORDED_HEXAGON_ENERGY = 7.656854249492381
@@ -152,6 +155,50 @@ def test_char_poly_roots_are_eigenvalues():
         roots = np.sort(np.roots(char_poly(a)).real)
         vals = np.sort(spectrum(phi).eigenvalues)
         assert np.max(np.abs(roots - vals), initial=0.0) <= 1e-6
+
+
+T4 = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
+
+
+def _t4_gains(g, seed, units=T4):
+    rng = random.Random(seed)
+    return spectra.GainGraph.from_gains(g, np.array([rng.choice(units) for _ in range(g.m)]))
+
+
+def _t4_switched_union(parts, isolated, seed):
+    rng = random.Random(seed)
+    phi = all_ones(ktt_union_graph(parts, isolated))
+    return switch(phi, SwitchingFunction(tuple(rng.choice(T4) for _ in range(phi.graph.n))))
+
+
+# (gain graph, its matching number if it is extremal, whether its component
+# blocks are real)
+_EXACT_CASES = {
+    "T_4 gnp 12": lambda: (_t4_gains(gnp_graph(12, 0.5, random.Random(1)), 1), None, False),
+    "T_4 gnp 20": lambda: (_t4_gains(gnp_graph(20, 0.15, random.Random(2)), 2), None, False),
+    "T_2 gnp 24": lambda: (_t4_gains(gnp_graph(24, 0.3, random.Random(3)), 3, T4[::2]),
+                           None, True),
+    "T_4 gnp 32": lambda: (_t4_gains(gnp_graph(32, 0.3, random.Random(4)), 4), None, False),
+    "switched T_4 K_tt union 24": lambda: (_t4_switched_union((2, 3, 4), 6, 5), 9, True),
+    "switched T_4 K_tt union 32": lambda: (_t4_switched_union((1, 2, 3, 5), 10, 7), 11, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXACT_CASES))
+def test_energy_lies_in_its_exact_bracket(monkeypatch, case):
+    phi, mu, real = _EXACT_CASES[case]()
+    low, high = exact_energy_bracket(phi)
+    energies = [eigenvalues(adjacency(phi)).energy]
+    for order in (0, math.inf):  # block by block, then the whole matrix
+        with monkeypatch.context() as m:
+            m.setattr(graphs, "ARRAY_MIN_ORDER", order)
+            if order == 0:
+                assert _dtypes(phi) == ({"d"} if real else {"D"})
+            energies.append(spectrum(phi).energy)
+    for e in energies:
+        assert low - 1e-10 * e <= e <= high + 1e-10 * e
+    if mu is not None:
+        assert maximum_matching(phi.graph).mu == mu and low <= 2 * mu <= high
 
 
 def test_four_cycle_energy_anchor_values():
@@ -826,7 +873,8 @@ def test_batch_makes_one_lapack_call_per_kind_and_shape(monkeypatch):
         return real_svd(b, *args, **kwargs)
 
     kinds = [(bipartite, stack.dtype.char, stack.shape[1:])
-             for phi in phis for bipartite, stack, _ in spectra._blocks(phi) for _ in stack]
+             for phi in phis for bipartite, stack, _ in map(filled, spectra._blocks(phi))
+             for _ in stack]
     assert min(phi.graph.n for phi in large) >= graphs.ARRAY_MIN_ORDER
     assert kinds.count((True, "d", (20, 20))) == 2 and kinds.count((False, "D", (5, 5))) == 3
     assert kinds.count((False, "D", (31, 31))) == 2 and kinds.count((True, "d", (3, 3))) == 2
@@ -1005,8 +1053,14 @@ def _component_775():
 
 def _sparse_300(seed=5):
     a = adjacency(random_gain_graph(gnp_graph(300, 0.01, random.Random(seed)), seed))
-    assert spectra._nonzeros(a[None]) is not None
+    assert np.count_nonzero(a) <= spectra._SPARSE_MAX_DENSITY * a.size
     return a
+
+
+def _eigh_from_nonzeros(stack):
+    """``_eigh`` of a stack handed all its nonzeros, as ``spectra_of``
+    hands a sparse one its plans' entries; a NaN or an infinity is nonzero."""
+    return spectra._eigh(stack, None, np.nonzero(stack))
 
 
 def _recording_residuals(monkeypatch):
@@ -1030,25 +1084,34 @@ def test_a_large_sparse_block_is_checked_from_its_nonzeros(monkeypatch):
     np.testing.assert_allclose(spec.eigenvalues, reference, atol=1e-11)
 
 
+def _random_dense_union(count):
+    """``count`` components of order 256, about 10% of each block nonzero."""
+    rng = random.Random(count)
+    return _gain_union(*(random_gain_graph(gnp_graph(256, 0.1, rng), rng) for _ in range(count)))
+
+
 @pytest.mark.parametrize(
     "build",
-    [lambda: _large_stack(3), lambda: adjacency(all_ones(complete_graph(300)))[None]],
+    [lambda: _random_dense_union(3), lambda: all_ones(complete_graph(300))],
     ids=["random-dense-stack", "all-ones-K300"],
 )
 def test_dense_large_blocks_keep_the_blas_product(monkeypatch, build):
     taken = _recording_residuals(monkeypatch)
-    stack = build()
-    assert spectra._nonzeros(stack) is None
-    spectra._eigh(stack)
+    phi = build()
+    ((_, stack, _),) = map(filled, spectra._blocks(phi))
+    assert np.count_nonzero(stack) > spectra._SPARSE_MAX_DENSITY * stack.size
+    spectrum(phi)
     assert taken == ["_dense_residuals"]
 
 
 def test_small_and_bipartite_blocks_never_reach_the_nonzero_check(monkeypatch):
     # below _MRRR_MIN_ORDER every stack keeps the dense checks, however sparse
     taken = _recording_residuals(monkeypatch)
-    a = adjacency(random_gain_graph(gnp_graph(200, 0.005, random.Random(3)), 3))
-    assert spectra._nonzeros(a[None]) is None
-    eigenvalues(a)
+    phi = random_gain_graph(cycle_graph(255), 3)  # odd: one Hermitian block
+    ((bipartite, stack, _),) = map(filled, spectra._blocks(phi))
+    assert not bipartite and stack.shape[1] < spectra._MRRR_MIN_ORDER
+    assert np.count_nonzero(stack) <= spectra._SPARSE_MAX_DENSITY * stack.size
+    spectrum(phi)
     spectrum(extremal_union([150, 140], switch_seed=2))  # singular values only
     assert taken == ["_dense_residuals"]
 
@@ -1074,7 +1137,7 @@ def _set(a, entries):
 )
 def test_sparse_non_finite_entries_are_rejected(entries):
     with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
-        eigenvalues(_set(_sparse_300(), entries))
+        _eigh_from_nonzeros(_set(_sparse_300(), entries)[None])
 
 
 def test_sparse_asymmetry_is_rejected():
@@ -1083,9 +1146,9 @@ def test_sparse_asymmetry_is_rejected():
     zi, zj = map(int, np.argwhere(a == 0)[1])
     for entries in ({(i, j): a[i, j] + 1e-9}, {(zi, zj): 1e-9}, {(zj, zi): 1e-9j}):
         with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
-            eigenvalues(_set(a, entries))
+            _eigh_from_nonzeros(_set(a, entries)[None])
     # the same entries, half the tolerance off, pass
-    eigenvalues(_set(a, {(zi, zj): 0.5 * spectra.HERMITIAN_TOL}))
+    _eigh_from_nonzeros(_set(a, {(zi, zj): 0.5 * spectra.HERMITIAN_TOL})[None])
 
 
 @needs_zheevr
@@ -1093,9 +1156,10 @@ def test_corrupt_mrrr_vectors_of_a_sparse_matrix_are_rejected(monkeypatch):
     a = _sparse_300()
     calls = []
     monkeypatch.setattr(spectra, "_zheevr", _counting_zheevr(calls, corrupt={0}))
+    taken = _recording_residuals(monkeypatch)
     with pytest.raises(RuntimeError, match="^eigensolver residual .* exceeds 1e-08"):
-        eigenvalues(a)
-    assert calls == [300]
+        _eigh_from_nonzeros(a[None])
+    assert calls == [300] and taken == ["_nonzero_residuals"]
 
 
 @needs_zheevr
@@ -1103,19 +1167,21 @@ def test_a_stack_of_sparse_components_names_the_matrix(monkeypatch):
     phi = random_gain_graph(
         disjoint_union(_connected_nonbipartite(300, 2).graph,
                        _connected_nonbipartite(300, 4).graph), 3)
-    ((_, stack, charge),) = spectra._blocks(phi)
+    ((_, stack, charge),) = map(filled, spectra._blocks(phi))
     assert stack.shape == (2, 300, 300) and stack.dtype == complex and charge is None
-    assert spectra._nonzeros(stack) is not None
+    assert np.count_nonzero(stack) <= spectra._SPARSE_MAX_DENSITY * stack.size
     monkeypatch.setattr(spectra, "_zheevr", _counting_zheevr([], corrupt={1}))
+    taken = _recording_residuals(monkeypatch)
     with pytest.raises(RuntimeError, match="^matrix 1 of 2: eigensolver residual"):
         spectrum(phi)
+    assert taken == ["_nonzero_residuals"]
     i, j = map(int, np.argwhere(stack[1] != 0)[0])
     for value, error in [(math.nan, "matrix has a non-finite entry"),
                          (stack[1, i, j] + 1e-9, "matrix is not Hermitian")]:
         bad = stack.copy()
         bad[1, i, j] = value
         with pytest.raises(ValueError, match=f"^matrix 1 of 2: {error}"):
-            spectra._eigh(bad)
+            _eigh_from_nonzeros(bad)
 
 
 def test_nonzero_residuals_equal_the_dense_product():
@@ -1129,17 +1195,18 @@ def test_nonzero_residuals_equal_the_dense_product():
     rng = np.random.default_rng(11)
     vals = rng.standard_normal((2, 300))
     vecs = rng.standard_normal((2, 300, 600)).view(complex)
-    nonzeros = spectra._nonzeros(stack)
+    at = np.nonzero(stack)
+    nonzeros = at, stack[at]
     for v in (vecs, np.ascontiguousarray(vecs.swapaxes(1, 2)).swapaxes(1, 2)):
         np.testing.assert_allclose(
             spectra._nonzero_residuals(nonzeros, vals, v),
             spectra._dense_residuals(stack, vals, v), rtol=1e-12)
 
 
-def test_an_all_zero_large_matrix_passes_the_nonzero_checks(monkeypatch):
+def test_an_all_zero_large_matrix_passes_the_dense_checks(monkeypatch):
     taken = _recording_residuals(monkeypatch)
     spec = eigenvalues(np.zeros((300, 300)))
-    assert taken == ["_nonzero_residuals"]
+    assert taken == ["_dense_residuals"]
     assert spec.eigenvalues.tobytes() == np.zeros(300).tobytes() and spec.energy == 0.0
 
 
@@ -1157,6 +1224,63 @@ def test_a_large_sparse_block_peaks_below_three_and_a_half_matrices():
     # the block, the solver's copy of it and the eigenvectors; the residual
     # adds chunk buffers only, where a dense A V would add a fourth matrix
     assert peak < 3.5 * 16 * n**2
+
+
+def _order_400(m, seed=0):
+    """A connected non-bipartite gain graph of order 400 with m edges: a
+    Hamiltonian cycle, the chord (0, 2) and random edges, random gains."""
+    rng = random.Random(seed)
+    edges = {(v, v + 1) for v in range(399)} | {(0, 399), (0, 2)}
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(400), 2))))
+    return random_gain_graph(Graph.from_edges(400, edges), seed)
+
+
+@pytest.mark.parametrize("m, check", [(2400, "_nonzero_residuals"),
+                                      (2401, "_dense_residuals")])
+def test_the_nonzero_check_takes_blocks_up_to_three_percent_nonzero(monkeypatch, m, check):
+    # 2 * 2400 nonzeros are exactly 3% of 400 * 400 entries
+    taken = _recording_residuals(monkeypatch)
+    spectrum(_order_400(m))
+    assert taken == [check]
+
+
+@needs_zheevr
+def test_stacks_are_filled_one_at_a_time():
+    import tracemalloc
+
+    phi = _gain_union(_connected_nonbipartite(400, 1), _connected_nonbipartite(300, 2))
+    phi.graph._bipartition, phi._switching  # the graph's, not the solve's
+    tracemalloc.start()
+    try:
+        spectrum(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # solving the order-400 block peaks near 3.1 of its matrices (the block,
+    # zheevr's copy, the eigenvectors and the residual buffers); holding the
+    # filled order-300 block through that solve would add 0.56 more
+    assert peak < 3.35 * 16 * 400**2
+
+
+def test_block_plans_allocate_no_block():
+    import tracemalloc
+
+    g = _connected_nonbipartite(1000, 1).graph
+    phi = random_gain_graph(g, 1)
+    phi.graph._bipartition, phi._switching
+    tracemalloc.start()
+    try:
+        plans = list(spectra._blocks(phi))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ((bipartite, dtype, shape, entries, charge),) = plans
+    assert (bipartite, dtype, shape, charge) == (False, complex, (1, 1000, 1000), None)
+    assert all(np.ndim(x) <= 1 for x in entries)
+    # the edge arrays and their temporaries: about 100 bytes per edge, where
+    # the block alone is 16 MB
+    assert peak < 0.05 * 16 * g.n**2
 
 
 # ---------------------------------------------------------------------------
@@ -1193,7 +1317,7 @@ def _forced_complex(phi, seed):
 
 
 def _dtypes(phi):
-    return {stack.dtype.char for _, stack, _ in spectra._blocks(phi)}
+    return {stack.dtype.char for _, stack, _ in map(filled, spectra._blocks(phi))}
 
 
 def _mixed_unions(rng):
@@ -1254,7 +1378,7 @@ def test_switched_gains_within_the_hermitian_tolerance_take_the_real_path(
     monkeypatch, angle, dtype
 ):
     phi = _k20_turned(angle)
-    (bipartite, stack, charge), = spectra._blocks(phi)
+    (bipartite, stack, charge), = map(filled, spectra._blocks(phi))
     assert bipartite and stack.shape == (1, 20, 20) and stack.dtype.char == dtype
     if dtype == "d":
         # E = A - Z R Z^H is the turned edge's i sin(angle), and rounding
@@ -1282,7 +1406,7 @@ def _charged_stacks():
     k40 = _turned(switch(_signed(complete_graph(40), 12), random_switching(40, 13)),
                   1, 3, 1e-13)
     for phi in (k20, k40):
-        (bipartite, stack, charge), = spectra._blocks(phi)
+        (bipartite, stack, charge), = map(filled, spectra._blocks(phi))
         a, z = adjacency(phi), np.diag(phi._switching)
         if bipartite:
             side0 = np.array(graphs.bipartition(phi.graph).side) == 0
